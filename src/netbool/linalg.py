@@ -22,6 +22,7 @@ __all__ = [
     "affine_from_points",
     "dist_to_affine",
     "best_affine_fit",
+    "min_fit_dim",
     "stack_equations",
     "unit_indices_close",
 ]
@@ -226,6 +227,39 @@ def best_affine_fit(points: Sequence[np.ndarray], target_dim: int) -> AffineSubs
         return AffineSubspace(d, centroid, np.zeros((0, d)))
     _, _, vt = np.linalg.svd(pts - centroid, full_matrices=True)
     return AffineSubspace(d, centroid, vt[:target_dim].copy())
+
+
+def min_fit_dim(
+    points: Sequence[np.ndarray], budget: float
+) -> tuple[int, np.ndarray]:
+    """Smallest b whose best b-dimensional affine fit keeps the summed
+    distance to the points within ``budget``, from one thin SVD.
+
+    The fits of ``best_affine_fit`` are nested principal subspaces
+    (Eckart-Young): with the centred points written as U S V^T, point p's
+    squared distance to the b-dimensional fit is the tail sum over j >= b
+    of (U S)[p, j]^2.  Summing the square roots of those tails over the
+    points gives the fit's total distance for every b at once; it never
+    increases with b, so the pick is the first b whose total is at most
+    ``budget`` (d when none is).
+
+    Returns
+    -------
+    b : int
+    totals : ndarray, shape (d + 1,)
+        Summed distance of the points to the b-dimensional fit, for
+        b = 0..d; entries from b = min(k, d) on are 0 for k points.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("expected at least one point")
+    d = pts.shape[1]
+    u, s, _ = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
+    tails = np.cumsum(((u * s) ** 2)[:, ::-1], axis=1)[:, ::-1]
+    totals = np.zeros(d + 1)
+    totals[: s.size] = np.sqrt(tails).sum(axis=0)
+    b = min(int(np.count_nonzero(totals > budget)), d)
+    return b, totals
 
 
 def stack_equations(eqs: Sequence[LocalLinearEquation]) -> LocalLinearEquation:

@@ -28,9 +28,11 @@ import numpy as np
 
 from .formula import BooleanSystem
 from .linalg import (
+    AffineSubspace,
     LocalLinearEquation,
     best_affine_fit,
     dist_to_affine,
+    min_fit_dim,
     project_affine,
     rank_and_echelon,
     stack_equations,
@@ -162,26 +164,23 @@ def distributed_lae(
     return run.states, config.T, True
 
 
-def _search_per_node(
-    states_per_run: Sequence[np.ndarray],
+def _search_nodes(
+    node_points: Sequence[np.ndarray],
     system: BooleanSystem,
     tol: float,
 ) -> tuple[list[set[Assignment]], list[list[Assignment]]]:
-    """Run the unit-vector search on every node's own collected outputs.
+    """Run the unit-vector search on each node's own points.
 
     Returns the per-node solution sets (post-verified against the system:
     any search hit that fails an equation is dropped) and the per-node
     rejected lists for diagnostics.
     """
-    n = states_per_run[0].shape[0]
     per_node: list[set[Assignment]] = []
     rejected: list[list[Assignment]] = []
-    for i in range(n):
-        points = np.stack([states[i] for states in states_per_run])
-        indices = boolean_vector_search(points, tol)
+    for points in node_points:
         sound: set[Assignment] = set()
         bad: list[Assignment] = []
-        for idx in sorted(indices):
+        for idx in sorted(boolean_vector_search(points, tol)):
             x = tuple(itob(idx, system.m))
             if system.satisfies(x):
                 sound.add(x)
@@ -221,7 +220,11 @@ def solve_exact(
         rounds_used.append(rounds)
         all_converged &= converged
 
-    per_node, rejected = _search_per_node(runs, system, config.tol)
+    per_node, rejected = _search_nodes(
+        [np.stack([states[i] for states in runs]) for i in range(graph.n)],
+        system,
+        config.tol,
+    )
     agree = all(s == per_node[0] for s in per_node)
     solutions = tuple(sorted(per_node[0]))
     return SolveOutcome(
@@ -284,6 +287,15 @@ def solve_approximate(
     eps_T = c* exp(-gamma* T) * k, searches that subspace for unit vectors,
     and reports its own solution set; sets may disagree across nodes for
     small T, which the diagnostics expose.
+
+    The fitted dimension is read off one SVD per node: the best fits are
+    nested principal subspaces, so ``min_fit_dim`` gets every dimension's
+    summed distance from the tails of the centred points' principal
+    coordinates and picks the first within budget.  That pick is then
+    confirmed directly, with ``best_affine_fit`` and ``dist_to_affine``,
+    and raised only while the direct total is over budget.  The
+    diagnostics' ``fit_margins`` give, per node, the SVD-tail total over
+    the budget at the chosen dimension b and at b - 1 (None when b = 0).
     """
     if config.T is None:
         raise ValueError("solve_approximate requires a finite T in the config")
@@ -318,28 +330,25 @@ def solve_approximate(
         runs.append(states)
         rounds_used.append(rounds)
 
-    per_node: list[set[Assignment]] = []
-    rejected: list[list[Assignment]] = []
-    fitted_dims: list[int] = []
+    fits: list[AffineSubspace] = []
+    fit_margins: list[list[float | None]] = []
     for i in range(graph.n):
         points = np.stack([states[i] for states in runs])
-        for b in range(d + 1):
+        b, totals = min_fit_dim(points, budget)
+        # confirm the pick with the direct distances that define the fit
+        # decision; the SVD tails differ from them only by rounding
+        for b in range(b, d + 1):
             candidate = best_affine_fit(points, b)
             total = sum(dist_to_affine(p, candidate) for p in points)
             if total <= budget:
                 break
-        fitted_dims.append(candidate.dim)
-        indices = boolean_vector_search(candidate.spanning_points(), member_tol)
-        sound: set[Assignment] = set()
-        bad: list[Assignment] = []
-        for idx in sorted(indices):
-            x = tuple(itob(idx, system.m))
-            if system.satisfies(x):
-                sound.add(x)
-            else:
-                bad.append(x)
-        per_node.append(sound)
-        rejected.append(bad)
+        fits.append(candidate)
+        fit_margins.append(
+            [totals[b] / budget, totals[b - 1] / budget if b > 0 else None]
+        )
+    per_node, rejected = _search_nodes(
+        [fit.spanning_points() for fit in fits], system, member_tol
+    )
 
     agree = all(s == per_node[0] for s in per_node)
     return SolveOutcome(
@@ -355,7 +364,8 @@ def solve_approximate(
             "gamma_star": gamma_star,
             "budget": budget,
             "member_tol": member_tol,
-            "fitted_dims": fitted_dims,
+            "fitted_dims": [fit.dim for fit in fits],
+            "fit_margins": fit_margins,
             "nodes_agree": agree,
             "rejected": [sorted(b) for b in rejected],
         },

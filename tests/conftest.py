@@ -1,5 +1,6 @@
 """Shared fixtures: the four worked example systems, their published
-sample data, and seeded random generators for systems, formulas, graphs."""
+sample data, seeded random generators for systems, formulas, graphs, and
+the dimension-scan reference of the truncated-mode fit."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from netbool.formula import And, BooleanSystem, Const, Iff, Implies, Not, Or, Var
+from netbool.linalg import best_affine_fit, dist_to_affine
 from netbool.network import Graph
 
 settings.register_profile(
@@ -138,6 +140,20 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
             if (i, j) not in edges and rng.random() < 0.3:
                 edges.add((i, j))
     return Graph(n, frozenset((int(a), int(b)) for a, b in edges))
+
+
+# --- reference of the truncated-mode fit --------------------------------
+
+
+def scan_fit_dim(points: np.ndarray, budget: float) -> int:
+    """First b whose best_affine_fit keeps the summed direct distance to
+    the points within the budget, scanning b = 0, 1, ... (d when none)."""
+    d = points.shape[1]
+    for b in range(d + 1):
+        fit = best_affine_fit(points, b)
+        if sum(dist_to_affine(p, fit) for p in points) <= budget:
+            return b
+    return d
 
 
 # --- hypothesis strategies ----------------------------------------------

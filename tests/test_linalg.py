@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import EX1_MATRICES, EX1_SAMPLE_OUTPUTS, EX2_MATRICES
+from conftest import EX1_MATRICES, EX1_SAMPLE_OUTPUTS, EX2_MATRICES, scan_fit_dim
 from netbool.linalg import (
     AffineSubspace,
     LocalLinearEquation,
     affine_from_points,
     best_affine_fit,
     dist_to_affine,
+    min_fit_dim,
     project_affine,
     pseudoinverse,
     rank_and_echelon,
@@ -278,6 +279,61 @@ class TestBestAffineFit:
             rival = AffineSubspace(5, pts.mean(axis=0) + 0.1 * rng.normal(size=5), q)
             rival_cost = sum(dist_to_affine(p, rival) ** 2 for p in pts)
             assert best <= rival_cost + 1e-12
+
+
+def direct_totals(points):
+    d = points.shape[1]
+    return np.array([
+        sum(dist_to_affine(p, best_affine_fit(points, b)) for p in points)
+        for b in range(d + 1)
+    ])
+
+
+class TestMinFitDim:
+    @pytest.mark.parametrize("k,d,seed", [(12, 5, 41), (6, 10, 42), (30, 9, 43)])
+    def test_equals_scan_on_random_clouds(self, k, d, seed):
+        pts = np.random.default_rng(seed).normal(size=(k, d))
+        totals = direct_totals(pts)
+        for frac in (1.5, 0.9, 0.5, 0.2, 0.05, 0.01):
+            budget = frac * totals[0]
+            b, tails = min_fit_dim(pts, budget)
+            assert b == scan_fit_dim(pts, budget)
+            assert np.allclose(tails, totals, rtol=1e-9, atol=1e-9)
+
+    def test_totals_never_increase(self):
+        pts = np.random.default_rng(44).normal(size=(9, 14))
+        _, totals = min_fit_dim(pts, 1.0)
+        assert totals.shape == (15,)
+        assert np.all(np.diff(totals) <= 0)
+        # 9 centred points span 8 directions
+        assert totals[8] < 1e-12 and np.all(totals[9:] == 0)
+
+    def test_equal_points_pick_zero(self):
+        pts = np.tile(np.arange(6.0), (5, 1))
+        b, totals = min_fit_dim(pts, 1e-6)
+        assert b == 0 == scan_fit_dim(pts, 1e-6)
+        assert np.all(totals == 0)
+
+    def test_exact_low_dimensional_subspace(self):
+        rng = np.random.default_rng(45)
+        pts = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 10)) + rng.normal(size=10)
+        b, _ = min_fit_dim(pts, 1e-6)
+        assert b == 3 == scan_fit_dim(pts, 1e-6)
+
+    @pytest.mark.parametrize("k,d", [(7, 12), (15, 6)])
+    def test_budget_at_tol_floor(self, k, d):
+        # a generic cloud needs every direction its centred points span
+        pts = np.random.default_rng(46 + k).normal(size=(k, d))
+        b, _ = min_fit_dim(pts, 1e-6)
+        assert b == min(k - 1, d) == scan_fit_dim(pts, 1e-6)
+
+    def test_single_point(self):
+        b, totals = min_fit_dim(np.ones((1, 4)), 1e-6)
+        assert b == 0 and totals.shape == (5,)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            min_fit_dim(np.zeros(3), 1.0)
 
 
 class TestStackEquations:

@@ -5,6 +5,7 @@ from conftest import (
     EX2_MATRICES,
     random_connected_graph,
     random_satisfiable_system,
+    scan_fit_dim,
 )
 from netbool.formula import BooleanSystem, Const, parse_formula
 from netbool.linalg import affine_from_points, project_affine, rank_and_echelon, stack_equations
@@ -189,6 +190,18 @@ class TestSolveApproximate:
         for node_set in outcome.per_node_solutions:
             assert set(node_set) == expected
         assert outcome.diagnostics["fitted_dims"] == [4, 4, 4]
+
+    @pytest.mark.parametrize("horizon", [50, 200, 2000])
+    def test_fitted_dims_match_dimension_scan(self, ex1, path3, horizon):
+        outcome = solve_approximate(ex1, path3, RunConfig(seed=3, T=horizon))
+        budget = outcome.diagnostics["budget"]
+        scanned = [
+            scan_fit_dim(outcome.linear_solutions[:, i], budget) for i in range(path3.n)
+        ]
+        assert outcome.diagnostics["fitted_dims"] == scanned
+        for b, (at_b, below) in zip(scanned, outcome.diagnostics["fit_margins"]):
+            assert at_b <= 1.0
+            assert below is None if b == 0 else below > 1.0
 
     def test_huge_horizon_degenerates_to_exact(self, ex1, path3):
         # residuals reach the floating-point floor long before 5000 rounds;
