@@ -55,17 +55,15 @@ from .network import (
     step_projection_consensus,
 )
 from .problem import ProblemError, ProblemFile, load_problem
-from .search import boolean_vector_search, boolean_vector_search_bruteforce
+from .search import boolean_vector_search
 from .solver import (
     RunConfig,
     SolveOutcome,
-    central_projected_average,
     distributed_lae,
     lift_system,
     oracle_solve,
     solve_approximate,
     solve_exact,
-    stacked_rank_consistent,
     verify_satisfiability,
 )
 

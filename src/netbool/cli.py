@@ -12,6 +12,9 @@ Subcommands:
 The result document is JSON on stdout (or ``--output``).  Exit status:
 0 on success, 2 when ``sat`` returns unsatisfiable, 1 on input errors.
 Identical problem files and seeds produce byte-identical documents.
+``solve``, ``solve-approx`` and ``sat`` also print a ``warning:`` line to
+stderr when the nodes' solution sets disagree or a consensus stage hit
+``max_rounds``; the document and exit status do not change.
 """
 
 from __future__ import annotations
@@ -139,6 +142,22 @@ def _document(problem: ProblemFile, config: RunConfig, outcome: SolveOutcome) ->
     return doc
 
 
+def _warn(diagnostics: dict) -> None:
+    """Make the outcome's own failure flags visible on stderr."""
+    if diagnostics.get("nodes_agree") is False:
+        print("warning: nodes disagree (nodes_agree is false)", file=sys.stderr)
+    stalled = [
+        key
+        for key in ("converged", "limits_converged", "average_converged")
+        if diagnostics.get(key) is False
+    ]
+    if stalled:
+        print(
+            f"warning: consensus hit max_rounds ({', '.join(stalled)} false)",
+            file=sys.stderr,
+        )
+
+
 def _emit(doc: dict, output: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output:
@@ -215,6 +234,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "solve":
         outcome = solve_exact(system, graph, config)
+        _warn(outcome.diagnostics)
         doc = _document(problem, config, outcome)
         if args.verify:
             expected = {tuple(x) for x in oracle_solve(system)}
@@ -230,11 +250,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             print("error: solve-approx requires --T (or config.T)", file=sys.stderr)
             return 1
         outcome = solve_approximate(system, graph, config)
+        _warn(outcome.diagnostics)
         _emit(_document(problem, config, outcome), args.output)
         return 0
 
     if args.command == "sat":
         outcome = verify_satisfiability(system, graph, config)
+        _warn(outcome.diagnostics)
         _emit(_document(problem, config, outcome), args.output)
         return 2 if outcome.verdict == "unsatisfiable" else 0
 

@@ -1,9 +1,11 @@
 """Dense linear algebra used by the consensus engine and the subspace search.
 
-Matrices and vectors are plain numpy float arrays.  Rank decisions use an
-absolute pivot threshold; when none is given, it defaults to 1e-8 times
-the largest absolute entry of the input, which comfortably absorbs the
-~1e-10 residue that converged consensus output carries.
+Matrices and vectors are plain numpy float arrays.  Rank decisions take
+an absolute threshold: a pivot (``rank_and_echelon``) or a singular value
+(``affine_from_points``) counts only when it is above it.  When none is
+given, the threshold is 1e-8 times the largest absolute entry or singular
+value of the input, which comfortably absorbs the ~1e-10 residue that
+converged consensus output carries.
 """
 
 from __future__ import annotations
@@ -24,21 +26,9 @@ __all__ = [
     "best_affine_fit",
     "min_fit_dim",
     "stack_equations",
-    "unit_indices_close",
 ]
 
 DEFAULT_RELATIVE_PIVOT = 1e-8
-
-
-def unit_indices_close(v: np.ndarray, tol: float) -> list[int]:
-    """0-based indices i with ||v - e_i||_inf <= tol (usually none or one)."""
-    v = np.asarray(v, dtype=float)
-    over = np.flatnonzero(np.abs(v) > tol)
-    hits = []
-    for i in np.flatnonzero(np.abs(v - 1.0) <= tol):
-        if over.size == 0 or (over.size == 1 and over[0] == i):
-            hits.append(int(i))
-    return hits
 
 
 def rank_and_echelon(
@@ -176,30 +166,25 @@ class AffineSubspace:
             return self.offset.copy()
         return self.offset + self.basis.T @ (self.basis @ r)
 
-    def spanning_points(self) -> np.ndarray:
-        """dim+1 affinely independent points generating the subspace."""
-        return np.vstack([self.offset[None, :], self.offset + self.basis])
-
 
 def affine_from_points(
     points: Sequence[np.ndarray], tol: float | None = None
 ) -> AffineSubspace:
     """Minimal affine subspace containing all the given points.
 
-    The offset is the first point and the dimension is the numerical rank
-    (at pivot threshold ``tol``) of the matrix of differences to it.
+    One thin SVD of the centred points: the offset is the centroid and the
+    basis is the right singular vectors whose singular value is above
+    ``tol`` (default 1e-8 times the largest singular value), so the
+    dimension is the numerical rank of the centred point matrix.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("expected at least one point")
-    d = pts.shape[1]
-    offset = pts[0].copy()
-    diffs = (pts[1:] - offset).T
-    rank, echelon, _ = rank_and_echelon(diffs, tol)
-    if rank == 0:
-        return AffineSubspace(d, offset, np.zeros((0, d)))
-    q, _ = np.linalg.qr(echelon)
-    return AffineSubspace(d, offset, q.T)
+    centroid = pts.mean(axis=0)
+    _, s, vt = np.linalg.svd(pts - centroid, full_matrices=False)
+    if tol is None:
+        tol = DEFAULT_RELATIVE_PIVOT * float(s[0])
+    return AffineSubspace(pts.shape[1], centroid, vt[s > tol].copy())
 
 
 def dist_to_affine(y: np.ndarray, a: AffineSubspace) -> float:

@@ -1,83 +1,28 @@
-"""Locate every unit vector contained in the affine hull of a point set.
+"""Locate every unit vector contained in an affine subspace.
 
-The fast path reduces membership of all d unit vectors to one echelon
-factorization plus O(d) sup-norm comparisons: with the span directions in
-column-reduced echelon form and the pivot coordinates permuted to the
-bottom, the coefficients of a candidate unit vector are read off directly
-from its last coordinates, so each candidate needs a single vector
-comparison instead of a least-squares solve.
+With o the subspace's offset, B its orthonormal direction rows and
+c = o - B^T (B o) the offset's component orthogonal to the directions,
+the squared Euclidean distance of the unit vector e_i to the subspace is
 
-``boolean_vector_search_bruteforce`` is the independent reference: it
-tests the distance of every unit vector to the affine hull.  Both return
-1-based unit-vector indices.
+    dist(e_i)^2 = 1 - ||B[:, i]||^2 - 2 c_i + ||c||^2,
+
+so all d candidates are decided from one O(d b) pass, with no per-candidate
+solve.  Indices are 1-based, matching the assignment bijection.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .linalg import (
-    affine_from_points,
-    dist_to_affine,
-    rank_and_echelon,
-    unit_indices_close,
-)
+from .linalg import AffineSubspace
 
-__all__ = ["boolean_vector_search", "boolean_vector_search_bruteforce"]
+__all__ = ["boolean_vector_search"]
 
 
-def boolean_vector_search(
-    points: Sequence[np.ndarray], tol: float = 1e-6
-) -> set[int]:
-    """Indices i with the unit vector e_i inside the affine hull of ``points``.
-
-    ``tol`` is used both as the pivot threshold of the rank decision and as
-    the sup-norm slack of the membership comparisons; inputs produced by
-    finite-precision consensus are never exactly affine-dependent, so both
-    decisions must tolerate residue.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("expected at least one point")
-    d = pts.shape[1]
-    y1 = pts[0]
-    b, echelon, pivot_rows = rank_and_echelon((pts[1:] - y1).T, tol)
-
-    if b == 0:
-        # all generators coincide: the hull is the single point y1
-        return {i + 1 for i in unit_indices_close(y1, tol)}
-
-    # Permute coordinates so the pivot rows sit at the bottom, where the
-    # direction matrix restricts to the b x b identity.
-    pivot_set = set(pivot_rows)
-    non_pivots = [r for r in range(d) if r not in pivot_set]
-    v_top = echelon[non_pivots, :]  # (d-b, b)
-    resid = y1[non_pivots] - v_top @ y1[pivot_rows]
-
-    found: set[int] = set()
-    # candidates whose permuted index falls in the free (non-pivot) block
-    for i in unit_indices_close(resid, tol):
-        found.add(non_pivots[i] + 1)
-    # candidates at a pivot coordinate: e matches iff -v_j equals the residual
-    for j, pr in enumerate(pivot_rows):
-        if resid.size == 0 or float(np.abs(v_top[:, j] + resid).max()) <= tol:
-            found.add(pr + 1)
-    return found
-
-
-def boolean_vector_search_bruteforce(
-    points: Sequence[np.ndarray], tol: float = 1e-6
-) -> set[int]:
-    """Same contract as boolean_vector_search, by direct distance tests."""
-    pts = np.asarray(points, dtype=float)
-    hull = affine_from_points(pts, tol)
-    d = hull.dim_ambient
-    found = set()
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        if dist_to_affine(e, hull) <= tol:
-            found.add(i + 1)
-    return found
+def boolean_vector_search(hull: AffineSubspace, tol: float = 1e-6) -> set[int]:
+    """Indices i with the unit vector e_i within Euclidean distance ``tol``
+    of the affine subspace ``hull``."""
+    basis = hull.basis
+    c = hull.offset - basis.T @ (basis @ hull.offset)
+    dist2 = 1.0 - (basis * basis).sum(axis=0) - 2.0 * c + c @ c
+    return {int(i) + 1 for i in np.flatnonzero(dist2 <= tol * tol)}

@@ -30,12 +30,10 @@ from .formula import BooleanSystem
 from .linalg import (
     AffineSubspace,
     LocalLinearEquation,
+    affine_from_points,
     best_affine_fit,
     dist_to_affine,
     min_fit_dim,
-    project_affine,
-    rank_and_echelon,
-    stack_equations,
 )
 from .matricization import boolean_matricization, itob, unit_vector
 from .network import (
@@ -52,12 +50,10 @@ __all__ = [
     "SolveOutcome",
     "lift_system",
     "distributed_lae",
-    "central_projected_average",
     "solve_exact",
     "solve_approximate",
     "verify_satisfiability",
     "oracle_solve",
-    "stacked_rank_consistent",
     "estimate_contraction_rate",
 ]
 
@@ -131,18 +127,6 @@ def lift_system(system: BooleanSystem) -> list[LocalLinearEquation]:
     return eqs
 
 
-def central_projected_average(
-    eqs: Sequence[LocalLinearEquation], initials: np.ndarray
-) -> np.ndarray:
-    """Reference value of a consensus run: the average of the projections
-    of the initial states onto the stacked solution set, computed
-    centrally from the stacked pseudoinverse."""
-    stacked = stack_equations(eqs)
-    initials = np.asarray(initials, dtype=float)
-    proj = np.stack([project_affine(stacked, row) for row in initials])
-    return proj.mean(axis=0)
-
-
 def distributed_lae(
     eqs: Sequence[LocalLinearEquation],
     graph: Graph,
@@ -165,11 +149,11 @@ def distributed_lae(
 
 
 def _search_nodes(
-    node_points: Sequence[np.ndarray],
+    hulls: Sequence[AffineSubspace],
     system: BooleanSystem,
     tol: float,
 ) -> tuple[list[set[Assignment]], list[list[Assignment]]]:
-    """Run the unit-vector search on each node's own points.
+    """Run the unit-vector search on each node's own affine subspace.
 
     Returns the per-node solution sets (post-verified against the system:
     any search hit that fails an equation is dropped) and the per-node
@@ -177,10 +161,10 @@ def _search_nodes(
     """
     per_node: list[set[Assignment]] = []
     rejected: list[list[Assignment]] = []
-    for points in node_points:
+    for hull in hulls:
         sound: set[Assignment] = set()
         bad: list[Assignment] = []
-        for idx in sorted(boolean_vector_search(points, tol)):
+        for idx in sorted(boolean_vector_search(hull, tol)):
             x = tuple(itob(idx, system.m))
             if system.satisfies(x):
                 sound.add(x)
@@ -220,11 +204,11 @@ def solve_exact(
         rounds_used.append(rounds)
         all_converged &= converged
 
-    per_node, rejected = _search_nodes(
-        [np.stack([states[i] for states in runs]) for i in range(graph.n)],
-        system,
-        config.tol,
-    )
+    hulls = [
+        affine_from_points(np.stack([states[i] for states in runs]), config.tol)
+        for i in range(graph.n)
+    ]
+    per_node, rejected = _search_nodes(hulls, system, config.tol)
     agree = all(s == per_node[0] for s in per_node)
     solutions = tuple(sorted(per_node[0]))
     return SolveOutcome(
@@ -284,9 +268,10 @@ def solve_approximate(
     Each node keeps its own T-round outputs, which carry a residual bounded
     by c* exp(-gamma* T).  The node fits the lowest-dimensional affine
     subspace whose summed distance to its outputs stays within the budget
-    eps_T = c* exp(-gamma* T) * k, searches that subspace for unit vectors,
-    and reports its own solution set; sets may disagree across nodes for
-    small T, which the diagnostics expose.
+    eps_T = c* exp(-gamma* T) * k and hands that fit itself to the
+    unit-vector search, with the per-run residual scale as the membership
+    distance; each node reports its own solution set, and sets may disagree
+    across nodes for small T, which the diagnostics expose.
 
     The fitted dimension is read off one SVD per node: the best fits are
     nested principal subspaces, so ``min_fit_dim`` gets every dimension's
@@ -346,9 +331,7 @@ def solve_approximate(
         fit_margins.append(
             [totals[b] / budget, totals[b - 1] / budget if b > 0 else None]
         )
-    per_node, rejected = _search_nodes(
-        [fit.spanning_points() for fit in fits], system, member_tol
-    )
+    per_node, rejected = _search_nodes(fits, system, member_tol)
 
     agree = all(s == per_node[0] for s in per_node)
     return SolveOutcome(
@@ -446,15 +429,3 @@ def oracle_solve(system: BooleanSystem, cap: int = 20) -> set[Assignment]:
         for i in range(1, 2**system.m + 1)
         if system.satisfies(x := tuple(itob(i, system.m)))
     }
-
-
-def stacked_rank_consistent(
-    eqs: Sequence[LocalLinearEquation], pivot_tol: float | None = None
-) -> bool:
-    """Whether the stacked linear system is solvable: the coefficient
-    matrix and the augmented matrix have equal numerical rank."""
-    stacked = stack_equations(eqs)
-    rank_h, _, _ = rank_and_echelon(stacked.h, pivot_tol)
-    augmented = np.hstack([stacked.h, stacked.z[:, None]])
-    rank_hz, _, _ = rank_and_echelon(augmented, pivot_tol)
-    return rank_h == rank_hz

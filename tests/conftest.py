@@ -1,6 +1,8 @@
 """Shared fixtures: the four worked example systems, their published
 sample data, seeded random generators for systems, formulas, graphs, and
-the dimension-scan reference of the truncated-mode fit."""
+the centralised references that tests compare the distributed solvers
+against (consensus value, stacked-rank consistency, unit-vector search,
+truncated-mode dimension scan)."""
 
 from __future__ import annotations
 
@@ -10,7 +12,15 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from netbool.formula import And, BooleanSystem, Const, Iff, Implies, Not, Or, Var
-from netbool.linalg import best_affine_fit, dist_to_affine
+from netbool.linalg import (
+    AffineSubspace,
+    LocalLinearEquation,
+    best_affine_fit,
+    dist_to_affine,
+    project_affine,
+    rank_and_echelon,
+    stack_equations,
+)
 from netbool.network import Graph
 
 settings.register_profile(
@@ -140,6 +150,47 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
             if (i, j) not in edges and rng.random() < 0.3:
                 edges.add((i, j))
     return Graph(n, frozenset((int(a), int(b)) for a, b in edges))
+
+
+# --- centralised references ----------------------------------------------
+
+
+def central_projected_average(
+    eqs: list[LocalLinearEquation], initials: np.ndarray
+) -> np.ndarray:
+    """Reference value of a consensus run: the average of the projections
+    of the initial states onto the stacked solution set, computed
+    centrally from the stacked pseudoinverse."""
+    stacked = stack_equations(eqs)
+    initials = np.asarray(initials, dtype=float)
+    proj = np.stack([project_affine(stacked, row) for row in initials])
+    return proj.mean(axis=0)
+
+
+def stacked_rank_consistent(
+    eqs: list[LocalLinearEquation], pivot_tol: float | None = None
+) -> bool:
+    """Whether the stacked linear system is solvable: the coefficient
+    matrix and the augmented matrix have equal numerical rank."""
+    stacked = stack_equations(eqs)
+    rank_h, _, _ = rank_and_echelon(stacked.h, pivot_tol)
+    augmented = np.hstack([stacked.h, stacked.z[:, None]])
+    rank_hz, _, _ = rank_and_echelon(augmented, pivot_tol)
+    return rank_h == rank_hz
+
+
+def boolean_vector_search_bruteforce(points: np.ndarray, tol: float = 1e-6) -> set[int]:
+    """Reference unit-vector search, independent of the solver's hull and
+    distance identity: the hull is the first point plus a QR basis of the
+    echelon columns of the differences to it (rank at pivot threshold
+    ``tol``), and every unit vector is tested with ``dist_to_affine``."""
+    pts = np.asarray(points, dtype=float)
+    d = pts.shape[1]
+    offset = pts[0].copy()
+    rank, echelon, _ = rank_and_echelon((pts[1:] - offset).T, tol)
+    basis = np.linalg.qr(echelon)[0].T if rank else np.zeros((0, d))
+    hull = AffineSubspace(d, offset, basis)
+    return {i + 1 for i in range(d) if dist_to_affine(np.eye(d)[i], hull) <= tol}
 
 
 # --- reference of the truncated-mode fit --------------------------------

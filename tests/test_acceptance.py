@@ -19,11 +19,13 @@ from conftest import (
     EX2_TEXTS,
     EX3_TEXTS,
     EX4_TEXTS,
+    boolean_vector_search_bruteforce,
     random_connected_graph,
     random_satisfiable_system,
+    stacked_rank_consistent,
 )
 from netbool.formula import BooleanSystem
-from netbool.linalg import project_affine, stack_equations
+from netbool.linalg import affine_from_points, project_affine, stack_equations
 from netbool.matricization import boolean_matricization, chi0
 from netbool.network import (
     Graph,
@@ -32,14 +34,13 @@ from netbool.network import (
     run_to_convergence,
     step_projection_consensus,
 )
-from netbool.search import boolean_vector_search, boolean_vector_search_bruteforce
+from netbool.search import boolean_vector_search
 from netbool.solver import (
     RunConfig,
     lift_system,
     oracle_solve,
     solve_approximate,
     solve_exact,
-    stacked_rank_consistent,
     verify_satisfiability,
 )
 from test_search import make_instance
@@ -199,7 +200,7 @@ def test_criterion_6_search_equals_bruteforce_on_500_instances():
         else:
             plant = int(rng.integers(0, min(b + 1, 4) + 1))
             points, _ = make_instance(rng, m, b, plant)
-        fast = boolean_vector_search(points, 1e-6)
+        fast = boolean_vector_search(affine_from_points(points, 1e-6), 1e-6)
         brute = boolean_vector_search_bruteforce(points, 1e-6)
         agreements += fast == brute
     report(

@@ -13,7 +13,6 @@ from netbool.linalg import (
     pseudoinverse,
     rank_and_echelon,
     stack_equations,
-    unit_indices_close,
 )
 
 
@@ -193,6 +192,27 @@ class TestAffineFromPoints:
         without = affine_from_points(base)
         assert with_dep.dim == without.dim
 
+    @pytest.mark.parametrize(
+        "k, d, scales, noise, tol",
+        [
+            (6, 5, (1.0,) * 5, 0.0, None),  # k - 1 = d independent directions
+            (12, 8, (1.0, 1.0, 1.0), 0.0, None),  # exact 3-dim subspace
+            (12, 8, (1.0, 1.0, 1.0), 1e-9, 1e-6),  # residue below tol
+            (4, 16, (1.0, 1e-4), 1e-8, 1e-6),  # k < d, a short direction kept
+            (9, 8, (1.0, 1.0, 1e-8), 0.0, 1e-6),  # a direction below tol dropped
+            (5, 4, (), 1e-9, 1e-6),  # all points equal up to residue
+        ],
+    )
+    def test_dimension_is_svd_rank(self, k, d, scales, noise, tol):
+        rng = np.random.default_rng(k * d + len(scales))
+        directions = np.linalg.qr(rng.normal(size=(d, d)))[0][:, : len(scales)].T
+        coords = rng.normal(size=(k, len(scales))) * np.array(scales)
+        pts = rng.normal(size=d) + coords @ directions + noise * rng.normal(size=(k, d))
+        a = affine_from_points(pts, tol)
+        centred = pts - pts.mean(axis=0)
+        assert a.dim == np.linalg.matrix_rank(centred, tol=tol)
+        assert a.dim == sum(s > 1e-6 for s in scales)
+
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(5, 7))
@@ -348,14 +368,3 @@ class TestStackEquations:
         with pytest.raises(ValueError):
             stack_equations([])
 
-
-class TestUnitIndicesClose:
-    def test_exact_unit(self):
-        assert unit_indices_close(np.array([0.0, 1.0, 0.0]), 1e-9) == [1]
-
-    def test_near_unit(self):
-        assert unit_indices_close(np.array([1e-8, 1.0 - 1e-8]), 1e-6) == [1]
-
-    def test_no_match(self):
-        assert unit_indices_close(np.array([0.5, 0.5]), 1e-6) == []
-        assert unit_indices_close(np.array([1.0, 1.0]), 1e-6) == []

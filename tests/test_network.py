@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from conftest import central_projected_average
 from netbool.linalg import LocalLinearEquation, project_affine
 from netbool.network import (
     Graph,
@@ -13,7 +14,7 @@ from netbool.network import (
     step_average_consensus,
     step_projection_consensus,
 )
-from netbool.solver import central_projected_average, lift_system
+from netbool.solver import lift_system
 
 
 class TestGraph:

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,9 @@ class TestCliSolve:
     def test_solve_document(self, ex1_path, capsys):
         code = main(["solve", ex1_path, "--seed", "7"])
         assert code == 0
-        doc = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads(captured.out)
         assert doc["mode"] == "solve"
         assert doc["solutions"] == ["000", "010", "100", "101"]
         assert doc["seed"] == 7
@@ -137,6 +140,20 @@ class TestCliSolve:
     def test_k_star_flag(self, ex1_path, capsys):
         main(["solve", ex1_path, "--seed", "7", "--k-star", "9"])
         assert json.loads(capsys.readouterr().out)["diagnostics"]["k_star"] == 9
+
+
+class TestCliWarnings:
+    @pytest.mark.parametrize(
+        "command, flag, code",
+        [("solve", "converged", 0), ("sat", "limits_converged", 2)],
+    )
+    def test_unconverged_consensus_warns(self, command, flag, code, capsys):
+        problem = str(Path(__file__).resolve().parents[1] / "problems" / "ex1.json")
+        assert main([command, problem, "--max-rounds", "1"]) == code
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["diagnostics"][flag] is False
+        assert captured.err.startswith("warning: ")
+        assert flag in captured.err
 
 
 class TestCliSat:
