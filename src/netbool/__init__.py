@@ -30,9 +30,7 @@ from .linalg import (
     affine_from_points,
     best_affine_fit,
     dist_to_affine,
-    project_affine,
     pseudoinverse,
-    rank_and_echelon,
 )
 from .matricization import (
     BooleanMatrix,
@@ -44,16 +42,7 @@ from .matricization import (
     unit_vector,
     upsilon,
 )
-from .network import (
-    ConsensusWeights,
-    Graph,
-    NetworkRun,
-    build_weights,
-    make_run,
-    run_to_convergence,
-    step_average_consensus,
-    step_projection_consensus,
-)
+from .network import Graph, build_weights, consensus, run_to_convergence
 from .problem import ProblemError, ProblemFile, load_problem
 from .search import boolean_vector_search
 from .solver import (

@@ -23,13 +23,14 @@ import argparse
 import csv
 import json
 import sys
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from .formula import FormulaSyntaxError
-from .network import build_weights, make_run, step_projection_consensus
+from .network import build_weights, consensus
 from .problem import ProblemError, ProblemFile, load_problem, merge_config
 from .solver import (
     RunConfig,
@@ -173,19 +174,18 @@ def _write_trace(problem: ProblemFile, config: RunConfig, path: str | None, roun
     graph = problem.graph()
     eqs = lift_system(system)
     rng = np.random.default_rng(config.seed)
-    weights = build_weights(graph, config.effective_epsilon(graph.n))
-    run = make_run(graph, weights, rng.random((graph.n, 2**system.m)))
+    w = build_weights(graph, config.effective_epsilon(graph.n))
+    initials = rng.random((graph.n, 2**system.m))
+    frames = chain([initials], islice(consensus(w, initials, eqs), rounds))
 
     out = sys.stdout if path is None else open(path, "w", newline="")
     try:
         writer = csv.writer(out)
         writer.writerow(["round", "node", "coordinate", "value"])
-        for t in range(rounds + 1):
-            for node in range(1, graph.n + 1):
-                for coord, value in enumerate(run.states[node - 1], start=1):
+        for t, states in enumerate(frames):
+            for node, row in enumerate(states, start=1):
+                for coord, value in enumerate(row, start=1):
                     writer.writerow([t, node, coord, repr(float(value))])
-            if t < rounds:
-                run = step_projection_consensus(run, eqs)
     finally:
         if path is not None:
             out.close()

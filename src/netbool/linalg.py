@@ -1,11 +1,10 @@
 """Dense linear algebra used by the consensus engine and the subspace search.
 
 Matrices and vectors are plain numpy float arrays.  Rank decisions take
-an absolute threshold: a pivot (``rank_and_echelon``) or a singular value
-(``affine_from_points``) counts only when it is above it.  When none is
-given, the threshold is 1e-8 times the largest absolute entry or singular
-value of the input, which comfortably absorbs the ~1e-10 residue that
-converged consensus output carries.
+an absolute threshold: a singular value (``affine_from_points``) counts
+only when it is above it.  When none is given, the threshold is 1e-8
+times the largest singular value of the input, which comfortably absorbs
+the ~1e-10 residue that converged consensus output carries.
 """
 
 from __future__ import annotations
@@ -16,77 +15,16 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "rank_and_echelon",
     "pseudoinverse",
     "LocalLinearEquation",
-    "project_affine",
     "AffineSubspace",
     "affine_from_points",
     "dist_to_affine",
     "best_affine_fit",
     "min_fit_dim",
-    "stack_equations",
 ]
 
 DEFAULT_RELATIVE_PIVOT = 1e-8
-
-
-def rank_and_echelon(
-    a: np.ndarray, pivot_tol: float | None = None
-) -> tuple[int, np.ndarray, list[int]]:
-    """Numerical rank and column-reduced echelon form of ``a``.
-
-    Parameters
-    ----------
-    a : ndarray, shape (r, c)
-    pivot_tol : float, optional
-        Entries with absolute value <= pivot_tol are treated as zero.
-        Defaults to 1e-8 times the largest absolute entry.
-
-    Returns
-    -------
-    rank : int
-    echelon : ndarray, shape (r, rank)
-        Columns spanning the column space of ``a``; each column j has a 1
-        in its pivot row and every other returned column is 0 there.
-    pivot_rows : list of int
-        0-based pivot row of each echelon column, in column order.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    rows = a.shape[0]
-    if a.size == 0:
-        return 0, np.zeros((rows, 0)), []
-    if pivot_tol is None:
-        pivot_tol = DEFAULT_RELATIVE_PIVOT * float(np.abs(a).max())
-
-    # Gauss-Jordan on the transpose: its RREF rows are the echelon columns,
-    # and its pivot column positions are the pivot rows of ``a``.
-    m = a.T.copy()
-    nrows = m.shape[0]
-    pivot_rows: list[int] = []
-    r = 0
-    for col in range(rows):
-        if r == nrows:
-            break
-        p = r + int(np.argmax(np.abs(m[r:, col])))
-        if abs(m[p, col]) <= pivot_tol:
-            continue
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] /= m[r, col]
-        others = np.abs(m[:, col]) > 0
-        others[r] = False
-        m[others] -= np.outer(m[others, col], m[r])
-        pivot_rows.append(col)
-        r += 1
-    echelon = m[:r].T.copy()
-    echelon[np.abs(echelon) <= pivot_tol] = 0.0
-    # restore exact unit pivots after the cleanup
-    for j, pr in enumerate(pivot_rows):
-        echelon[pr, j] = 1.0
-    return r, echelon, pivot_rows
 
 
 def pseudoinverse(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -106,10 +44,10 @@ class LocalLinearEquation:
     """The pair (h, z) of a linear equation h y = z, with the projector
     data onto its affine solution set cached.
 
-    When the equation is consistent, ``project_affine`` maps any y to the
-    Euclidean-nearest solution; when it is not, the same formula yields
-    the nearest least-squares point, which is what the consensus recursion
-    expects in the infeasible case.
+    When the equation is consistent, the projection y - h^+ (h y - z) of
+    the consensus round maps any y to the Euclidean-nearest solution; when
+    it is not, the same formula yields the nearest least-squares point,
+    which is what the consensus recursion expects in the infeasible case.
     """
 
     h: np.ndarray
@@ -132,17 +70,6 @@ class LocalLinearEquation:
     def residual(self, y: np.ndarray) -> float:
         """Sup-norm of h y - z."""
         return float(np.abs(self.h @ y - self.z).max())
-
-
-def project_affine(eq: LocalLinearEquation, y: np.ndarray) -> np.ndarray:
-    """Project ``y`` onto the affine solution set of ``eq``.
-
-    Computed as y - h^+ (h y - z); equals (I - h^+ h) y + h^+ z.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (eq.dim,):
-        raise ValueError(f"expected a vector of length {eq.dim}, got shape {y.shape}")
-    return y - eq.h_pinv @ (eq.h @ y - eq.z)
 
 
 @dataclass
@@ -245,13 +172,3 @@ def min_fit_dim(
     totals[: s.size] = np.sqrt(tails).sum(axis=0)
     b = min(int(np.count_nonzero(totals > budget)), d)
     return b, totals
-
-
-def stack_equations(eqs: Sequence[LocalLinearEquation]) -> LocalLinearEquation:
-    """Single equation equivalent to the whole collection: rows of every
-    h stacked over rows of every z."""
-    if len(eqs) == 0:
-        raise ValueError("expected at least one equation")
-    h = np.vstack([eq.h for eq in eqs])
-    z = np.concatenate([eq.z for eq in eqs])
-    return LocalLinearEquation(h, z)

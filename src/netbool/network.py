@@ -3,30 +3,24 @@
 Each node holds a state vector; one round is a simultaneous update in
 which every node mixes its own state with its neighbors' round-t states
 and, in the projection variant, projects the mix onto its local affine
-solution set.  Rounds are deterministic: neighbor sums run in sorted node
-order, so identical inputs give bit-identical trajectories.
+solution set.  ``consensus`` runs every node's round at once: the mix is
+the product W X of the mixing matrix with the stacked states, and row i
+of it reads only node i's neighbors, whose weights alone are nonzero.
+Rounds are deterministic: each is a fixed sequence of array products, so
+under a fixed BLAS identical inputs give bit-identical trajectories.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import LocalLinearEquation, project_affine
+from .linalg import LocalLinearEquation
 
-__all__ = [
-    "Graph",
-    "ConsensusWeights",
-    "NetworkRun",
-    "build_weights",
-    "make_run",
-    "step_average_consensus",
-    "step_projection_consensus",
-    "run_to_convergence",
-]
+__all__ = ["Graph", "build_weights", "consensus", "run_to_convergence"]
 
 
 @dataclass(frozen=True)
@@ -75,14 +69,6 @@ class Graph:
             table[b - 1].append(a)
         return tuple(tuple(sorted(row)) for row in table)
 
-    @cached_property
-    def _neighbor_arrays(self) -> tuple[np.ndarray, ...]:
-        # 0-based index arrays, one per node, for fast state gathering
-        return tuple(
-            np.array([j - 1 for j in row], dtype=np.intp)
-            for row in self._neighbor_table
-        )
-
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Sorted neighbor ids of node i."""
         return self._neighbor_table[i - 1]
@@ -107,20 +93,10 @@ class Graph:
         return len(seen) == self.n
 
 
-@dataclass(frozen=True)
-class ConsensusWeights:
-    """Symmetric row-stochastic mixing matrix: epsilon on every edge,
-    1 - deg(i)*epsilon on the diagonal."""
-
-    epsilon: float
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-
-
-def build_weights(graph: Graph, epsilon: float) -> ConsensusWeights:
-    """Mixing weights for ``graph`` with step size ``epsilon`` in (0, 1/n)."""
+def build_weights(graph: Graph, epsilon: float) -> np.ndarray:
+    """Symmetric row-stochastic mixing matrix for ``graph`` with step size
+    ``epsilon`` in (0, 1/n): epsilon on every edge, 1 - deg(i)*epsilon on
+    the diagonal."""
     if not 0.0 < epsilon < 1.0 / graph.n:
         raise ValueError(
             f"epsilon must lie strictly between 0 and 1/n = {1.0 / graph.n}, got {epsilon}"
@@ -131,83 +107,61 @@ def build_weights(graph: Graph, epsilon: float) -> ConsensusWeights:
         w[j - 1, i - 1] = epsilon
     for i in range(1, graph.n + 1):
         w[i - 1, i - 1] = 1.0 - graph.degree(i) * epsilon
-    return ConsensusWeights(epsilon, w)
+    return w
 
 
-@dataclass(frozen=True)
-class NetworkRun:
-    """Snapshot of a synchronous run: per-node states stacked row-wise
-    (row i-1 is node i) plus the round counter."""
+def consensus(
+    w: np.ndarray,
+    states: np.ndarray,
+    eqs: Sequence[LocalLinearEquation] | None = None,
+) -> Iterator[np.ndarray]:
+    """The rounds of one synchronous run from ``states`` (row i-1 is node
+    i): an endless generator of (n, d) state arrays, a new array each round.
 
-    graph: Graph
-    weights: ConsensusWeights
-    states: np.ndarray  # (n, d)
-    t: int = 0
-
-
-def make_run(graph: Graph, weights: ConsensusWeights, states: np.ndarray) -> NetworkRun:
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[0] != graph.n:
+    A round is x <- P(W x): every node mixes with its neighbors through
+    the mixing matrix ``w``, then, when ``eqs`` is given, projects onto its
+    own affine solution set by y - h^+ (h y - z), for all nodes at once as
+    batched products on the equations stacked into (n, r, d) arrays.  With
+    ``eqs`` None the round is plain averaging.  The inputs are checked when
+    the first round is requested; the equations must share one shape.
+    """
+    x = np.asarray(states, dtype=float)
+    n = w.shape[0]
+    if x.ndim != 2 or x.shape[0] != n:
         raise ValueError(
-            f"expected one state row per node, got shape {states.shape} for n={graph.n}"
+            f"expected one state row per node, got shape {x.shape} for n={n}"
         )
-    return NetworkRun(graph, weights, states)
-
-
-def _mix(run: NetworkRun) -> np.ndarray:
-    """One simultaneous averaging update: x_i + eps * sum_j (x_j - x_i)."""
-    states = run.states
-    eps = run.weights.epsilon
-    mixed = states.copy()
-    for i, idx in enumerate(run.graph._neighbor_arrays):
-        if idx.size:
-            mixed[i] = states[i] + eps * (
-                states[idx].sum(axis=0) - idx.size * states[i]
-            )
-    return mixed
-
-
-def step_average_consensus(run: NetworkRun) -> NetworkRun:
-    """One averaging round for every node simultaneously."""
-    return replace(run, states=_mix(run), t=run.t + 1)
-
-
-def step_projection_consensus(
-    run: NetworkRun, eqs: Sequence[LocalLinearEquation]
-) -> NetworkRun:
-    """One averaging round followed by each node's local projection."""
-    if len(eqs) != run.graph.n:
-        raise ValueError(f"expected {run.graph.n} equations, got {len(eqs)}")
-    mixed = _mix(run)
-    for i in range(run.graph.n):
-        mixed[i] = project_affine(eqs[i], mixed[i])
-    return replace(run, states=mixed, t=run.t + 1)
+    if eqs is not None:
+        if len(eqs) != n:
+            raise ValueError(f"expected {n} equations, got {len(eqs)}")
+        h = np.stack([eq.h for eq in eqs])  # (n, r, d)
+        h_pinv = np.stack([eq.h_pinv for eq in eqs])  # (n, d, r)
+        z = np.stack([eq.z for eq in eqs])[:, :, None]  # (n, r, 1)
+    while True:
+        x = w @ x
+        if eqs is not None:
+            x -= (h_pinv @ (h @ x[:, :, None] - z))[:, :, 0]
+        yield x
 
 
 def run_to_convergence(
-    run: NetworkRun,
+    w: np.ndarray,
+    states: np.ndarray,
     eqs: Sequence[LocalLinearEquation] | None,
     tol: float,
     max_rounds: int,
 ) -> tuple[np.ndarray, int, bool]:
-    """Iterate rounds until the largest per-node state change in one round
-    drops below ``tol`` (sup norm), or until ``max_rounds``.
-
-    ``eqs`` selects the update: per-node projections when given, plain
-    averaging when None.  Returns (final states, rounds used, converged).
+    """Run ``consensus(w, states, eqs)`` until the largest per-node state
+    change in one round drops below ``tol`` (sup norm), or for
+    ``max_rounds``.  Returns (final states, rounds used, converged).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    for rounds in range(1, max_rounds + 1):
-        nxt = (
-            step_average_consensus(run)
-            if eqs is None
-            else step_projection_consensus(run, eqs)
-        )
-        shift = float(np.abs(nxt.states - run.states).max())
-        run = nxt
-        if shift < tol:
-            return run.states, rounds, True
-    return run.states, max_rounds, False
+    prev = states
+    for rounds, x in enumerate(consensus(w, states, eqs), start=1):
+        converged = bool(np.abs(x - prev).max() < tol)
+        if converged or rounds == max_rounds:
+            return x, rounds, converged
+        prev = x

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +37,7 @@ from .linalg import (
     min_fit_dim,
 )
 from .matricization import boolean_matricization, itob, unit_vector
-from .network import (
-    Graph,
-    build_weights,
-    make_run,
-    run_to_convergence,
-    step_projection_consensus,
-)
+from .network import Graph, build_weights, consensus, run_to_convergence
 from .search import boolean_vector_search
 
 __all__ = [
@@ -135,17 +130,20 @@ def distributed_lae(
 ) -> tuple[np.ndarray, int, bool]:
     """One projection-consensus run of the network linear equation.
 
-    With ``config.T`` unset, iterates until the per-round state change
-    drops below ``consensus_tol`` (or ``max_rounds``); with ``T`` set,
-    runs exactly T rounds.  Returns (per-node states, rounds, converged).
+    With ``config.T`` unset, ``run_to_convergence`` iterates until the
+    per-round state change drops below ``consensus_tol`` (or
+    ``max_rounds``); with ``T`` set, exactly T rounds of ``consensus`` run.
+    Returns (per-node states, rounds, converged).
     """
-    weights = build_weights(graph, config.effective_epsilon(graph.n))
-    run = make_run(graph, weights, initials)
+    w = build_weights(graph, config.effective_epsilon(graph.n))
     if config.T is None:
-        return run_to_convergence(run, eqs, config.consensus_tol, config.max_rounds)
-    for _ in range(config.T):
-        run = step_projection_consensus(run, eqs)
-    return run.states, config.T, True
+        return run_to_convergence(
+            w, initials, eqs, config.consensus_tol, config.max_rounds
+        )
+    states = initials
+    for states in islice(consensus(w, initials, eqs), config.T):
+        pass
+    return states, config.T, True
 
 
 def _search_nodes(
@@ -239,15 +237,13 @@ def estimate_contraction_rate(
     conservative (smaller) value, as the truncated-mode error budget
     requires a lower bound on the true rate.
     """
-    d = eqs[0].dim
     rng = np.random.default_rng(config.seed + 0x5EED)
-    weights = build_weights(graph, config.effective_epsilon(graph.n))
-    run = make_run(graph, weights, rng.random((graph.n, d)))
+    w = build_weights(graph, config.effective_epsilon(graph.n))
+    prev = rng.random((graph.n, eqs[0].dim))
     shifts: list[float] = []
-    for _ in range(calibration_rounds):
-        nxt = step_projection_consensus(run, eqs)
-        shifts.append(float(np.abs(nxt.states - run.states).max()))
-        run = nxt
+    for states in islice(consensus(w, prev, eqs), calibration_rounds):
+        shifts.append(float(np.abs(states - prev).max()))
+        prev = states
     # fit log-shift only over the cleanly decaying window
     usable = [
         (t, math.log(s)) for t, s in enumerate(shifts) if 1e-13 < s < 1e-2
@@ -373,16 +369,16 @@ def verify_satisfiability(
     eqs = lift_system(system)
     d = 2**system.m
     rng = np.random.default_rng(config.seed)
-    weights = build_weights(graph, config.effective_epsilon(graph.n))
+    w = build_weights(graph, config.effective_epsilon(graph.n))
 
     # stage one: per-node projection-consensus limits
     initials = rng.random((graph.n, d))
     limits, limit_rounds, limits_converged = run_to_convergence(
-        make_run(graph, weights, initials), eqs, config.consensus_tol, config.max_rounds
+        w, initials, eqs, config.consensus_tol, config.max_rounds
     )
     # average the limits over the network itself
     averaged, avg_rounds, avg_converged = run_to_convergence(
-        make_run(graph, weights, limits), None, config.consensus_tol, config.max_rounds
+        w, limits, None, config.consensus_tol, config.max_rounds
     )
     node_gaps = np.abs(averaged - limits).max(axis=1)
     node_flags = node_gaps > config.disagreement_tol

@@ -1,10 +1,13 @@
 """Shared fixtures: the four worked example systems, their published
 sample data, seeded random generators for systems, formulas, graphs, and
 the centralised references that tests compare the distributed solvers
-against (consensus value, stacked-rank consistency, unit-vector search,
+against (single-vector projection, echelon rank, stacked equations,
+consensus value, stacked-rank consistency, unit-vector search,
 truncated-mode dimension scan)."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -13,13 +16,11 @@ from hypothesis import strategies as st
 
 from netbool.formula import And, BooleanSystem, Const, Iff, Implies, Not, Or, Var
 from netbool.linalg import (
+    DEFAULT_RELATIVE_PIVOT,
     AffineSubspace,
     LocalLinearEquation,
     best_affine_fit,
     dist_to_affine,
-    project_affine,
-    rank_and_echelon,
-    stack_equations,
 )
 from netbool.network import Graph
 
@@ -153,6 +154,87 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
 
 
 # --- centralised references ----------------------------------------------
+
+
+def project_affine(eq: LocalLinearEquation, y: np.ndarray) -> np.ndarray:
+    """Project ``y`` onto the affine solution set of ``eq``, one vector at
+    a time: the per-node reference for the consensus round's batched
+    projection.
+
+    Computed as y - h^+ (h y - z); equals (I - h^+ h) y + h^+ z.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (eq.dim,):
+        raise ValueError(f"expected a vector of length {eq.dim}, got shape {y.shape}")
+    return y - eq.h_pinv @ (eq.h @ y - eq.z)
+
+
+def stack_equations(eqs: Sequence[LocalLinearEquation]) -> LocalLinearEquation:
+    """Single equation equivalent to the whole collection: rows of every
+    h stacked over rows of every z."""
+    if len(eqs) == 0:
+        raise ValueError("expected at least one equation")
+    h = np.vstack([eq.h for eq in eqs])
+    z = np.concatenate([eq.z for eq in eqs])
+    return LocalLinearEquation(h, z)
+
+
+def rank_and_echelon(
+    a: np.ndarray, pivot_tol: float | None = None
+) -> tuple[int, np.ndarray, list[int]]:
+    """Numerical rank and column-reduced echelon form of ``a``.
+
+    Parameters
+    ----------
+    a : ndarray, shape (r, c)
+    pivot_tol : float, optional
+        Entries with absolute value <= pivot_tol are treated as zero.
+        Defaults to 1e-8 times the largest absolute entry.
+
+    Returns
+    -------
+    rank : int
+    echelon : ndarray, shape (r, rank)
+        Columns spanning the column space of ``a``; each column j has a 1
+        in its pivot row and every other returned column is 0 there.
+    pivot_rows : list of int
+        0-based pivot row of each echelon column, in column order.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D array")
+    rows = a.shape[0]
+    if a.size == 0:
+        return 0, np.zeros((rows, 0)), []
+    if pivot_tol is None:
+        pivot_tol = DEFAULT_RELATIVE_PIVOT * float(np.abs(a).max())
+
+    # Gauss-Jordan on the transpose: its RREF rows are the echelon columns,
+    # and its pivot column positions are the pivot rows of ``a``.
+    m = a.T.copy()
+    nrows = m.shape[0]
+    pivot_rows: list[int] = []
+    r = 0
+    for col in range(rows):
+        if r == nrows:
+            break
+        p = r + int(np.argmax(np.abs(m[r:, col])))
+        if abs(m[p, col]) <= pivot_tol:
+            continue
+        if p != r:
+            m[[r, p]] = m[[p, r]]
+        m[r] /= m[r, col]
+        others = np.abs(m[:, col]) > 0
+        others[r] = False
+        m[others] -= np.outer(m[others, col], m[r])
+        pivot_rows.append(col)
+        r += 1
+    echelon = m[:r].T.copy()
+    echelon[np.abs(echelon) <= pivot_tol] = 0.0
+    # restore exact unit pivots after the cleanup
+    for j, pr in enumerate(pivot_rows):
+        echelon[pr, j] = 1.0
+    return r, echelon, pivot_rows
 
 
 def central_projected_average(

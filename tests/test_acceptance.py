@@ -20,20 +20,16 @@ from conftest import (
     EX3_TEXTS,
     EX4_TEXTS,
     boolean_vector_search_bruteforce,
+    project_affine,
     random_connected_graph,
     random_satisfiable_system,
+    stack_equations,
     stacked_rank_consistent,
 )
 from netbool.formula import BooleanSystem
-from netbool.linalg import affine_from_points, project_affine, stack_equations
+from netbool.linalg import affine_from_points
 from netbool.matricization import boolean_matricization, chi0
-from netbool.network import (
-    Graph,
-    build_weights,
-    make_run,
-    run_to_convergence,
-    step_projection_consensus,
-)
+from netbool.network import Graph, build_weights, consensus, run_to_convergence
 from netbool.search import boolean_vector_search
 from netbool.solver import (
     RunConfig,
@@ -112,8 +108,9 @@ def test_criterion_3_disagreeing_limits_detect_infeasible_lift():
     eqs = lift_system(system)
 
     rng = np.random.default_rng(0)
-    run = make_run(graph, build_weights(graph, 0.2), rng.random((3, 8)))
-    states, rounds, converged = run_to_convergence(run, eqs, 1e-10, 5000)
+    states, rounds, converged = run_to_convergence(
+        build_weights(graph, 0.2), rng.random((3, 8)), eqs, 1e-10, 5000
+    )
     max_gap = max(
         float(np.abs(states[i] - states[j]).max())
         for i in range(3)
@@ -219,12 +216,12 @@ def test_criterion_7_consensus_identities():
     rng = np.random.default_rng(1)
 
     # (a) the stacked-projection sum is conserved round by round
-    run = make_run(graph, build_weights(graph, 0.3), rng.random((3, 8)))
-    reference = sum(project_affine(stacked, s) for s in run.states)
+    states = rng.random((3, 8))
+    rounds = consensus(build_weights(graph, 0.3), states, eqs)
+    reference = sum(project_affine(stacked, s) for s in states)
     conservation_error = 0.0
     gaps = []
     for _ in range(200):
-        states = run.states
         gaps.append(
             max(
                 float(np.abs(states[i] - states[j]).max())
@@ -232,8 +229,8 @@ def test_criterion_7_consensus_identities():
                 for j in range(i + 1, 3)
             )
         )
-        run = step_projection_consensus(run, eqs)
-        current = sum(project_affine(stacked, s) for s in run.states)
+        states = next(rounds)
+        current = sum(project_affine(stacked, s) for s in states)
         conservation_error = max(
             conservation_error, float(np.abs(current - reference).max())
         )
@@ -241,8 +238,9 @@ def test_criterion_7_consensus_identities():
 
     # (b) plain averaging converges to the initial mean
     initials = rng.random((3, 8))
-    avg_run = make_run(graph, build_weights(graph, 0.3), initials)
-    final, _, _ = run_to_convergence(avg_run, None, 1e-12, 20000)
+    final, _, _ = run_to_convergence(
+        build_weights(graph, 0.3), initials, None, 1e-12, 20000
+    )
     mean_error = float(np.abs(final - initials.mean(axis=0)).max())
     mean_ok = mean_error < 1e-9
 

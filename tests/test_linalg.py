@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import EX1_MATRICES, EX1_SAMPLE_OUTPUTS, EX2_MATRICES, scan_fit_dim
+from conftest import (
+    EX1_MATRICES,
+    EX1_SAMPLE_OUTPUTS,
+    EX2_MATRICES,
+    project_affine,
+    rank_and_echelon,
+    scan_fit_dim,
+    stack_equations,
+)
 from netbool.linalg import (
     AffineSubspace,
     LocalLinearEquation,
@@ -9,10 +17,7 @@ from netbool.linalg import (
     best_affine_fit,
     dist_to_affine,
     min_fit_dim,
-    project_affine,
     pseudoinverse,
-    rank_and_echelon,
-    stack_equations,
 )
 
 

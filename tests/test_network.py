@@ -1,20 +1,24 @@
 import math
+from itertools import chain, islice
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
 
-from conftest import central_projected_average
-from netbool.linalg import LocalLinearEquation, project_affine
-from netbool.network import (
-    Graph,
-    build_weights,
-    make_run,
-    run_to_convergence,
-    step_average_consensus,
-    step_projection_consensus,
+from conftest import (
+    EX1_TEXTS,
+    EX3_TEXTS,
+    central_projected_average,
+    project_affine,
+    stack_equations,
 )
+from netbool.formula import BooleanSystem
+from netbool.linalg import LocalLinearEquation
+from netbool.network import Graph, build_weights, consensus, run_to_convergence
 from netbool.solver import lift_system
+
+# ex1 with its first equation replaced by the constant 1: one row of that
+# node's H is all zero
+CONSTANT_TEXTS = [("1", 1)] + EX1_TEXTS[1:]
 
 
 class TestGraph:
@@ -49,16 +53,16 @@ class TestBuildWeights:
     def test_three_node_path(self):
         w = build_weights(Graph.path(3), 0.2)
         assert np.allclose(
-            w.w, [[0.8, 0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.2, 0.8]]
+            w, [[0.8, 0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.2, 0.8]]
         )
 
     def test_two_node_complete(self):
         w = build_weights(Graph.complete(2), 0.25)
-        assert np.allclose(w.w, [[0.75, 0.25], [0.25, 0.75]])
+        assert np.allclose(w, [[0.75, 0.25], [0.25, 0.75]])
 
     @pytest.mark.parametrize("n,eps", [(3, 0.1), (5, 0.18), (2, 0.49)])
     def test_stochastic_and_symmetric(self, n, eps):
-        w = build_weights(Graph.complete(n), eps).w
+        w = build_weights(Graph.complete(n), eps)
         assert np.allclose(w.sum(axis=1), 1.0)
         assert np.array_equal(w, w.T)
 
@@ -73,31 +77,30 @@ class TestBuildWeights:
 class TestAverageConsensus:
     def test_consensus_is_fixed_point(self):
         g = Graph.path(3)
-        run = make_run(g, build_weights(g, 0.2), np.tile([1.0, 2.0], (3, 1)))
-        stepped = step_average_consensus(run)
-        assert np.array_equal(stepped.states, run.states)
-        assert stepped.t == 1
+        states = np.tile([1.0, 2.0], (3, 1))
+        stepped = next(consensus(build_weights(g, 0.2), states))
+        assert np.array_equal(stepped, states)
 
     def test_two_node_step(self):
         g = Graph.complete(2)
-        run = make_run(g, build_weights(g, 0.25), np.array([[0.0], [1.0]]))
-        assert np.allclose(step_average_consensus(run).states, [[0.25], [0.75]])
+        stepped = next(consensus(build_weights(g, 0.25), np.array([[0.0], [1.0]])))
+        assert np.allclose(stepped, [[0.25], [0.75]])
 
     def test_sum_conserved(self):
         rng = np.random.default_rng(4)
         g = Graph.from_edge_list(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
-        run = make_run(g, build_weights(g, 0.2), rng.random((4, 6)))
-        total = run.states.sum(axis=0)
-        for _ in range(25):
-            run = step_average_consensus(run)
-            assert np.allclose(run.states.sum(axis=0), total, atol=1e-12)
+        initials = rng.random((4, 6))
+        total = initials.sum(axis=0)
+        for states in islice(consensus(build_weights(g, 0.2), initials), 25):
+            assert np.allclose(states.sum(axis=0), total, atol=1e-12)
 
     def test_limit_is_initial_mean(self):
         rng = np.random.default_rng(5)
         g = Graph.path(4)
         initials = rng.random((4, 5))
-        run = make_run(g, build_weights(g, 0.2), initials)
-        states, _, converged = run_to_convergence(run, None, 1e-12, 10000)
+        states, _, converged = run_to_convergence(
+            build_weights(g, 0.2), initials, None, 1e-12, 10000
+        )
         assert converged
         assert np.abs(states - initials.mean(axis=0)).max() < 1e-9
 
@@ -108,55 +111,67 @@ class TestProjectionConsensus:
         # a feasible point of the whole stacked system: any true solution
         feasible = np.zeros(8)
         feasible[0] = 1.0  # unit vector of the all-zero assignment
-        run = make_run(path3, build_weights(path3, 0.3), np.tile(feasible, (3, 1)))
-        stepped = step_projection_consensus(run, eqs)
-        assert np.allclose(stepped.states, run.states, atol=1e-12)
+        states = np.tile(feasible, (3, 1))
+        stepped = next(consensus(build_weights(path3, 0.3), states, eqs))
+        assert np.allclose(stepped, states, atol=1e-12)
 
     def test_single_node_is_pure_projection(self):
         eq = LocalLinearEquation(np.array([[1.0, 0.0]]), np.array([2.0]))
         g = Graph(1, frozenset())
-        run = make_run(g, build_weights(g, 0.5), np.array([[5.0, 7.0]]))
-        stepped = step_projection_consensus(run, [eq])
-        assert np.allclose(stepped.states[0], project_affine(eq, np.array([5.0, 7.0])))
+        stepped = next(consensus(build_weights(g, 0.5), np.array([[5.0, 7.0]]), [eq]))
+        assert np.allclose(stepped[0], project_affine(eq, np.array([5.0, 7.0])))
 
     def test_wrong_equation_count(self, path3):
-        run = make_run(path3, build_weights(path3, 0.2), np.zeros((3, 8)))
-        with pytest.raises(ValueError):
-            step_projection_consensus(run, [])
+        rounds = consensus(build_weights(path3, 0.2), np.zeros((3, 8)), [])
+        with pytest.raises(ValueError, match="expected 3 equations"):
+            next(rounds)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (4, 8), (8,)])
+    @pytest.mark.parametrize("with_eqs", [True, False])
+    def test_wrong_state_shape(self, ex1, path3, shape, with_eqs):
+        eqs = lift_system(ex1) if with_eqs else None
+        w = build_weights(path3, 0.2)
+        with pytest.raises(ValueError, match="one state row per node"):
+            next(consensus(w, np.zeros(shape), eqs))
+        with pytest.raises(ValueError, match="one state row per node"):
+            run_to_convergence(w, np.zeros(shape), eqs, 1e-6, 10)
 
     def test_projected_sum_conserved(self, ex1, path3):
         # the sum of the stacked-system projections of the node states is
         # invariant along the recursion (satisfiable case)
-        from netbool.linalg import stack_equations
-
         eqs = lift_system(ex1)
         stacked = stack_equations(eqs)
         rng = np.random.default_rng(6)
-        run = make_run(path3, build_weights(path3, 0.3), rng.random((3, 8)))
+        initials = rng.random((3, 8))
 
         def projected_sum(states):
             return sum(project_affine(stacked, s) for s in states)
 
-        reference = projected_sum(run.states)
-        for _ in range(60):
-            run = step_projection_consensus(run, eqs)
-            assert np.abs(projected_sum(run.states) - reference).max() < 1e-9
+        reference = projected_sum(initials)
+        for states in islice(consensus(build_weights(path3, 0.3), initials, eqs), 60):
+            assert np.abs(projected_sum(states) - reference).max() < 1e-9
 
-    def test_matches_affine_map_form(self, ex1, path3):
+    @pytest.mark.parametrize(
+        "texts",
+        [EX1_TEXTS, EX3_TEXTS, CONSTANT_TEXTS],
+        ids=["ex1", "ex3-least-squares", "constant-zero-row"],
+    )
+    def test_matches_affine_map_form(self, texts, path3):
         # one engine round equals the affine map built from the stacked
         # null-space projectors and offsets (independent derivation)
-        eqs = lift_system(ex1)
+        eqs = lift_system(BooleanSystem.from_texts(3, texts))
         w = build_weights(path3, 0.3)
         rng = np.random.default_rng(7)
         states = rng.random((3, 8))
-        run = make_run(path3, w, states)
-        stepped = step_projection_consensus(run, eqs)
+        stepped = next(consensus(w, states, eqs))
 
-        nullers = [np.eye(8) - eq.h_pinv @ eq.h for eq in eqs]
+        nullers = np.zeros((3 * 8, 3 * 8))
+        for i, eq in enumerate(eqs):
+            nullers[8 * i : 8 * (i + 1), 8 * i : 8 * (i + 1)] = np.eye(8) - eq.h_pinv @ eq.h
         offsets = np.concatenate([eq.h_pinv @ eq.z for eq in eqs])
-        big = block_diag(*nullers) @ np.kron(w.w, np.eye(8))
+        big = nullers @ np.kron(w, np.eye(8))
         expected = big @ states.ravel() + offsets
-        assert np.allclose(stepped.states.ravel(), expected, atol=1e-12)
+        assert np.allclose(stepped.ravel(), expected, atol=1e-12)
 
 
 class TestRunToConvergence:
@@ -164,16 +179,18 @@ class TestRunToConvergence:
         eqs = lift_system(ex1)
         feasible = np.zeros(8)
         feasible[0] = 1.0
-        run = make_run(path3, build_weights(path3, 0.3), np.tile(feasible, (3, 1)))
-        _, rounds, converged = run_to_convergence(run, eqs, 1e-10, 100)
+        _, rounds, converged = run_to_convergence(
+            build_weights(path3, 0.3), np.tile(feasible, (3, 1)), eqs, 1e-10, 100
+        )
         assert converged and rounds == 1
 
     def test_satisfiable_reaches_central_value(self, ex1, path3):
         eqs = lift_system(ex1)
         rng = np.random.default_rng(8)
         initials = rng.random((3, 8))
-        run = make_run(path3, build_weights(path3, 0.3), initials)
-        states, _, converged = run_to_convergence(run, eqs, 1e-10, 5000)
+        states, _, converged = run_to_convergence(
+            build_weights(path3, 0.3), initials, eqs, 1e-10, 5000
+        )
         assert converged
         expected = central_projected_average(eqs, initials)
         assert np.abs(states - expected).max() < 1e-8
@@ -181,8 +198,9 @@ class TestRunToConvergence:
     def test_unsatisfiable_limits_differ(self, ex3, path3):
         eqs = lift_system(ex3)
         rng = np.random.default_rng(9)
-        run = make_run(path3, build_weights(path3, 0.2), rng.random((3, 8)))
-        states, _, converged = run_to_convergence(run, eqs, 1e-10, 5000)
+        states, _, converged = run_to_convergence(
+            build_weights(path3, 0.2), rng.random((3, 8)), eqs, 1e-10, 5000
+        )
         assert converged  # limits exist even though the system is infeasible
         gaps = [
             np.abs(states[i] - states[j]).max()
@@ -194,16 +212,17 @@ class TestRunToConvergence:
     def test_non_convergence_flagged(self, ex1, path3):
         eqs = lift_system(ex1)
         rng = np.random.default_rng(10)
-        run = make_run(path3, build_weights(path3, 0.3), rng.random((3, 8)))
-        _, rounds, converged = run_to_convergence(run, eqs, 1e-10, 3)
+        _, rounds, converged = run_to_convergence(
+            build_weights(path3, 0.3), rng.random((3, 8)), eqs, 1e-10, 3
+        )
         assert rounds == 3 and not converged
 
     def test_parameter_validation(self, path3):
-        run = make_run(path3, build_weights(path3, 0.2), np.zeros((3, 2)))
+        w = build_weights(path3, 0.2)
         with pytest.raises(ValueError):
-            run_to_convergence(run, None, 0.0, 10)
+            run_to_convergence(w, np.zeros((3, 2)), None, 0.0, 10)
         with pytest.raises(ValueError):
-            run_to_convergence(run, None, 1e-6, 0)
+            run_to_convergence(w, np.zeros((3, 2)), None, 1e-6, 0)
 
 
 class TestDeterminism:
@@ -212,12 +231,8 @@ class TestDeterminism:
 
         def trajectory(seed):
             rng = np.random.default_rng(seed)
-            run = make_run(path3, build_weights(path3, 0.3), rng.random((3, 8)))
-            frames = []
-            for _ in range(40):
-                run = step_projection_consensus(run, eqs)
-                frames.append(run.states.copy())
-            return frames
+            rounds = consensus(build_weights(path3, 0.3), rng.random((3, 8)), eqs)
+            return list(islice(rounds, 40))
 
         first = trajectory(123)
         second = trajectory(123)
@@ -231,10 +246,10 @@ def test_disagreement_decays_exponentially(ex1, path3):
     the common limit at a steady geometric rate."""
     eqs = lift_system(ex1)
     rng = np.random.default_rng(0)
-    run = make_run(path3, build_weights(path3, 0.3), rng.random((3, 8)))
+    initials = rng.random((3, 8))
+    frames = chain([initials], consensus(build_weights(path3, 0.3), initials, eqs))
     gaps = []
-    for _ in range(160):
-        states = run.states
+    for states in islice(frames, 160):
         gaps.append(
             max(
                 np.abs(states[i] - states[j]).max()
@@ -242,7 +257,6 @@ def test_disagreement_decays_exponentially(ex1, path3):
                 for j in range(i + 1, 3)
             )
         )
-        run = step_projection_consensus(run, eqs)
     burn = 15
     usable = [g for g in gaps if g > 1e-13]
     assert len(usable) > 60

@@ -4,13 +4,16 @@ import pytest
 from conftest import (
     EX2_MATRICES,
     central_projected_average,
+    project_affine,
     random_connected_graph,
     random_satisfiable_system,
+    rank_and_echelon,
     scan_fit_dim,
+    stack_equations,
     stacked_rank_consistent,
 )
 from netbool.formula import BooleanSystem, Const, parse_formula
-from netbool.linalg import affine_from_points, project_affine, rank_and_echelon, stack_equations
+from netbool.linalg import affine_from_points
 from netbool.matricization import chi0
 from netbool.network import Graph
 from netbool.solver import (
@@ -101,12 +104,12 @@ class TestDistributedLAE:
         )
         assert rounds == 7
         # must equal seven explicit engine rounds
-        from netbool.network import build_weights, make_run, step_projection_consensus
+        from netbool.network import build_weights, consensus
 
-        run = make_run(path3, build_weights(path3, 0.3), initials)
+        rounds = consensus(build_weights(path3, 0.3), initials, eqs)
         for _ in range(7):
-            run = step_projection_consensus(run, eqs)
-        assert np.array_equal(states_short, run.states)
+            states = next(rounds)
+        assert np.array_equal(states_short, states)
 
 
 class TestSolveExact:
