@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``solve``        - exact distributed solve (satisfiable systems)
-* ``solve-approx`` - truncated-consensus solve, requires ``--T``
+* ``solve-approx`` - truncated-consensus solve, requires ``--T``; only
+  it has ``--T``, ``--c-star`` and ``--gamma-star``
 * ``sat``          - distributed satisfiability verification
 * ``oracle``       - centralized exhaustive reference solver
 * ``trace``        - dump the per-round node states of one projection
@@ -59,9 +60,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--k-star", type=int, default=None, dest="k_star")
     p.add_argument("--chi0-prior", type=int, default=None, dest="chi0_prior")
-    p.add_argument("--T", type=int, default=None, dest="T")
-    p.add_argument("--c-star", type=float, default=None, dest="c_star")
-    p.add_argument("--gamma-star", type=float, default=None, dest="gamma_star")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
     p.add_argument("--trace", type=str, default=None, metavar="PATH.csv",
@@ -81,6 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_approx = sub.add_parser("solve-approx", help="solve with T-round consensus")
     _add_common(p_approx)
+    p_approx.add_argument("--T", type=int, default=None, dest="T")
+    p_approx.add_argument("--c-star", type=float, default=None, dest="c_star")
+    p_approx.add_argument("--gamma-star", type=float, default=None, dest="gamma_star")
 
     p_sat = sub.add_parser("sat", help="verify satisfiability")
     _add_common(p_sat)
@@ -246,9 +247,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "solve-approx":
-        if config.T is None:
-            print("error: solve-approx requires --T (or config.T)", file=sys.stderr)
-            return 1
         outcome = solve_approximate(system, graph, config)
         _warn(outcome.diagnostics)
         _emit(_document(problem, config, outcome), args.output)

@@ -103,10 +103,6 @@ class BooleanMatrix:
             out[tag - 1, col] = 1.0
         return out
 
-    def apply_index(self, i: int) -> int:
-        """Image of the unit vector indexed ``i`` as a unit index in {1, 2}."""
-        return self.tags[i - 1]
-
 
 def boolean_matricization(f: BooleanFormula, m: int) -> BooleanMatrix:
     """Unit-column matrix of the mapping defined by ``f`` over x1..xm.

@@ -14,6 +14,10 @@ Four entry points:
   system, an empty search result exposes Boolean unsatisfiability;
 * ``oracle_solve``      - centralized exhaustive enumeration (reference).
 
+Both solve modes share one pipeline, ``_linear_stage`` then
+``_search_outcome``: a node's answer is the unit vectors of its own
+subspace, and only ``oracle_solve`` evaluates the whole system.
+
 All randomness flows from the seed in ``RunConfig``; identical
 configurations produce identical outputs.
 """
@@ -62,8 +66,8 @@ class RunConfig:
     ``epsilon`` defaults to 0.9/n (always inside the admissible range),
     ``k_star`` to 2^m + 1 randomized consensus runs, or 2^m - chi0_prior + 1
     when the image cardinality of the system is supplied as prior
-    knowledge.  ``T`` switches the linear stage from run-to-convergence to
-    a fixed number of rounds; ``c_star``/``gamma_star`` are the assumed
+    knowledge.  ``T``, the truncated mode's rounds per run, is refused by
+    the other modes; ``c_star``/``gamma_star`` are the assumed
     residual-bound constants of that truncated mode (defaults: 2^(m/2) * n,
     and a rate calibrated from an observed run).
     """
@@ -146,31 +150,68 @@ def distributed_lae(
     return states, config.T, True
 
 
-def _search_nodes(
-    hulls: Sequence[AffineSubspace],
-    system: BooleanSystem,
-    tol: float,
-) -> tuple[list[set[Assignment]], list[list[Assignment]]]:
-    """Run the unit-vector search on each node's own affine subspace.
+def _check_inputs(
+    system: BooleanSystem, graph: Graph, config: RunConfig, truncated: bool
+) -> int:
+    """One graph node per equation, a horizon ``T`` exactly when the mode
+    truncates consensus (``max_rounds`` caps the other modes), and at least
+    one consensus run; returns that run count k*."""
+    if truncated and config.T is None:
+        raise ValueError("solve_approximate requires a finite T in the config")
+    if not truncated and config.T is not None:
+        raise ValueError("only solve_approximate takes T; max_rounds caps this mode")
+    if graph.n != system.n:
+        raise ValueError(f"graph has {graph.n} nodes but system has {system.n} equations")
+    k = config.effective_k_star(system.m)
+    if k < 1:
+        raise ValueError(f"k_star must be >= 1, got {k}")
+    return k
 
-    Returns the per-node solution sets (post-verified against the system:
-    any search hit that fails an equation is dropped) and the per-node
-    rejected lists for diagnostics.
-    """
-    per_node: list[set[Assignment]] = []
-    rejected: list[list[Assignment]] = []
-    for hull in hulls:
-        sound: set[Assignment] = set()
-        bad: list[Assignment] = []
-        for idx in sorted(boolean_vector_search(hull, tol)):
-            x = tuple(itob(idx, system.m))
-            if system.satisfies(x):
-                sound.add(x)
-            else:
-                bad.append(x)
-        per_node.append(sound)
-        rejected.append(bad)
-    return per_node, rejected
+
+def _linear_stage(
+    system: BooleanSystem, graph: Graph, config: RunConfig, truncated: bool
+) -> tuple[list[LocalLinearEquation], int, np.ndarray, list[int], bool]:
+    """The lift and the k* seeded ``distributed_lae`` runs both solve modes
+    start from.  Returns (equations, k*, the runs' states as (k*, n, 2^m),
+    per-run rounds, whether every run converged)."""
+    k = _check_inputs(system, graph, config, truncated)
+    eqs = lift_system(system)
+    rng = np.random.default_rng(config.seed)
+    runs: list[np.ndarray] = []
+    rounds_used: list[int] = []
+    all_converged = True
+    for _ in range(k):
+        initials = rng.random((graph.n, 2**system.m))
+        states, rounds, converged = distributed_lae(eqs, graph, config, initials)
+        runs.append(states)
+        rounds_used.append(rounds)
+        all_converged &= converged
+    return eqs, k, np.stack(runs), rounds_used, all_converged
+
+
+def _search_outcome(
+    mode: str,
+    subspaces: Sequence[AffineSubspace],
+    tol: float,
+    m: int,
+    linear: np.ndarray,
+    diagnostics: dict,
+) -> SolveOutcome:
+    """Each node's solution set is exactly the unit vectors within ``tol``
+    of its own subspace, as assignments; ``nodes_agree`` says whether all
+    nodes found the same set, and the outcome reports node 1's."""
+    per_node = tuple(
+        tuple(tuple(itob(i, m)) for i in sorted(boolean_vector_search(sub, tol)))
+        for sub in subspaces
+    )
+    diagnostics["nodes_agree"] = all(s == per_node[0] for s in per_node)
+    return SolveOutcome(
+        mode=mode,
+        solutions=per_node[0],
+        per_node_solutions=per_node,
+        linear_solutions=linear,
+        diagnostics=diagnostics,
+    )
 
 
 def solve_exact(
@@ -179,48 +220,20 @@ def solve_exact(
     """Full distributed solve assuming the system is satisfiable.
 
     Runs k* independent consensus solves of the lifted linear equation
-    from uniform random initial states, then searches the affine hull of
-    the outputs for unit vectors and maps them back to assignments.
+    to convergence (``T`` is refused) from uniform random initial states;
+    each node searches the affine hull of its own outputs for unit vectors
+    and maps them back to assignments, with no check against the system.
     """
     config = config or RunConfig()
-    if graph.n != system.n:
-        raise ValueError(f"graph has {graph.n} nodes but system has {system.n} equations")
-    eqs = lift_system(system)
-    d = 2**system.m
-    k = config.effective_k_star(system.m)
-    if k < 1:
-        raise ValueError(f"k_star must be >= 1, got {k}")
-    rng = np.random.default_rng(config.seed)
-
-    runs: list[np.ndarray] = []
-    rounds_used: list[int] = []
-    all_converged = True
-    for _ in range(k):
-        initials = rng.random((graph.n, d))
-        states, rounds, converged = distributed_lae(eqs, graph, config, initials)
-        runs.append(states)
-        rounds_used.append(rounds)
-        all_converged &= converged
-
-    hulls = [
-        affine_from_points(np.stack([states[i] for states in runs]), config.tol)
-        for i in range(graph.n)
-    ]
-    per_node, rejected = _search_nodes(hulls, system, config.tol)
-    agree = all(s == per_node[0] for s in per_node)
-    solutions = tuple(sorted(per_node[0]))
-    return SolveOutcome(
-        mode="solve",
-        solutions=solutions,
-        per_node_solutions=tuple(tuple(sorted(s)) for s in per_node),
-        linear_solutions=np.stack(runs),
-        diagnostics={
-            "k_star": k,
-            "rounds": rounds_used,
-            "converged": all_converged,
-            "nodes_agree": agree,
-            "rejected": [sorted(b) for b in rejected],
-        },
+    _, k, linear, rounds, converged = _linear_stage(system, graph, config, False)
+    hulls = [affine_from_points(linear[:, i], config.tol) for i in range(graph.n)]
+    return _search_outcome(
+        "solve",
+        hulls,
+        config.tol,
+        system.m,
+        linear,
+        {"k_star": k, "rounds": rounds, "converged": converged},
     )
 
 
@@ -266,8 +279,11 @@ def solve_approximate(
     subspace whose summed distance to its outputs stays within the budget
     eps_T = c* exp(-gamma* T) * k and hands that fit itself to the
     unit-vector search, with the per-run residual scale as the membership
-    distance; each node reports its own solution set, and sets may disagree
-    across nodes for small T, which the diagnostics expose.
+    distance.  Each node reports the unit vectors of its own fit as they
+    stand: for small T a fit can hold non-solutions or miss solutions, and
+    the nodes' sets may disagree, which ``nodes_agree`` exposes.  The k*
+    runs are the same seeded linear stage as ``solve_exact``'s, stopped
+    after T rounds.
 
     The fitted dimension is read off one SVD per node: the best fits are
     nested principal subspaces, so ``min_fit_dim`` gets every dimension's
@@ -278,13 +294,8 @@ def solve_approximate(
     diagnostics' ``fit_margins`` give, per node, the SVD-tail total over
     the budget at the chosen dimension b and at b - 1 (None when b = 0).
     """
-    if config.T is None:
-        raise ValueError("solve_approximate requires a finite T in the config")
-    if graph.n != system.n:
-        raise ValueError(f"graph has {graph.n} nodes but system has {system.n} equations")
-    eqs = lift_system(system)
+    eqs, k, linear, rounds, _ = _linear_stage(system, graph, config, True)
     d = 2**system.m
-    k = config.effective_k_star(system.m)
     c_star = (
         config.c_star if config.c_star is not None else 2.0 ** (system.m / 2) * graph.n
     )
@@ -302,19 +313,10 @@ def solve_approximate(
     # below the scale at which unit vectors stop being distinguishable
     member_tol = min(max(config.tol, budget / k), 0.25)
 
-    rng = np.random.default_rng(config.seed)
-    runs: list[np.ndarray] = []
-    rounds_used: list[int] = []
-    for _ in range(k):
-        initials = rng.random((graph.n, d))
-        states, rounds, _ = distributed_lae(eqs, graph, config, initials)
-        runs.append(states)
-        rounds_used.append(rounds)
-
     fits: list[AffineSubspace] = []
     fit_margins: list[list[float | None]] = []
     for i in range(graph.n):
-        points = np.stack([states[i] for states in runs])
+        points = linear[:, i]
         b, totals = min_fit_dim(points, budget)
         # confirm the pick with the direct distances that define the fit
         # decision; the SVD tails differ from them only by rounding
@@ -327,26 +329,22 @@ def solve_approximate(
         fit_margins.append(
             [totals[b] / budget, totals[b - 1] / budget if b > 0 else None]
         )
-    per_node, rejected = _search_nodes(fits, system, member_tol)
-
-    agree = all(s == per_node[0] for s in per_node)
-    return SolveOutcome(
-        mode="solve-approx",
-        solutions=tuple(sorted(per_node[0])),
-        per_node_solutions=tuple(tuple(sorted(s)) for s in per_node),
-        linear_solutions=np.stack(runs),
-        diagnostics={
+    return _search_outcome(
+        "solve-approx",
+        fits,
+        member_tol,
+        system.m,
+        linear,
+        {
             "k_star": k,
             "T": config.T,
-            "rounds": rounds_used,
+            "rounds": rounds,
             "c_star": c_star,
             "gamma_star": gamma_star,
             "budget": budget,
             "member_tol": member_tol,
             "fitted_dims": [fit.dim for fit in fits],
             "fit_margins": fit_margins,
-            "nodes_agree": agree,
-            "rejected": [sorted(b) for b in rejected],
         },
     )
 
@@ -362,10 +360,10 @@ def verify_satisfiability(
     inconsistent lifted linear system, so the verdict is unsatisfiable.
     When all limits agree, stage two runs the full solve pipeline and
     returns unsatisfiable exactly when the search finds no solutions.
+    Like ``solve_exact``, it refuses ``T`` and k* < 1, before stage one.
     """
     config = config or RunConfig()
-    if graph.n != system.n:
-        raise ValueError(f"graph has {graph.n} nodes but system has {system.n} equations")
+    _check_inputs(system, graph, config, False)
     eqs = lift_system(system)
     d = 2**system.m
     rng = np.random.default_rng(config.seed)
@@ -404,14 +402,11 @@ def verify_satisfiability(
     stage_config = replace(config, seed=int(rng.integers(2**63)))
     solved = solve_exact(system, graph, stage_config)
     diagnostics.update(solved.diagnostics)
-    verdict = "unsatisfiable" if not solved.solutions else "satisfiable"
-    return SolveOutcome(
+    return replace(
+        solved,
         mode="sat",
-        solutions=solved.solutions,
-        per_node_solutions=solved.per_node_solutions,
-        verdict=verdict,
-        stage="empty-solution-set" if verdict == "unsatisfiable" else "solved",
-        linear_solutions=solved.linear_solutions,
+        verdict="satisfiable" if solved.solutions else "unsatisfiable",
+        stage="solved" if solved.solutions else "empty-solution-set",
         diagnostics=diagnostics,
     )
 

@@ -195,6 +195,29 @@ class TestCliOracleAndApprox:
         code = main(["solve-approx", ex1_path, "--seed", "5"])
         assert code == 1
 
+    def test_solve_approx_without_runs(self, ex1_path, capsys):
+        assert main(["solve-approx", ex1_path, "--T", "50", "--k-star", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: k_star must be >= 1")
+
+
+class TestCliHorizon:
+    @pytest.mark.parametrize("command", ["solve", "sat", "trace"])
+    @pytest.mark.parametrize("flag", ["--T", "--c-star", "--gamma-star"])
+    def test_truncated_mode_flags_only_on_solve_approx(self, ex1_path, command, flag, capsys):
+        assert main([command, ex1_path, flag, "3"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sat"])
+    def test_horizon_in_problem_file_refused(self, tmp_path, command, capsys):
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps(dict(EX1_DOC, config={"T": 3})))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: only solve_approximate takes T")
+
 
 class TestCliTrace:
     def test_trace_csv(self, ex3_path, tmp_path):

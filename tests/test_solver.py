@@ -1,3 +1,7 @@
+import importlib
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,7 @@ from conftest import (
 from netbool.formula import BooleanSystem, Const, parse_formula
 from netbool.linalg import affine_from_points
 from netbool.matricization import chi0
+from netbool import solver
 from netbool.network import Graph
 from netbool.solver import (
     RunConfig,
@@ -149,6 +154,13 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="nodes"):
             solve_exact(ex1, Graph.path(2), RunConfig())
 
+    @pytest.mark.parametrize("solve", [solve_exact, verify_satisfiability])
+    def test_horizon_refused(self, ex1, path3, solve):
+        # T-round consensus is not converged consensus: the exact modes
+        # would search the hull of unconverged states
+        with pytest.raises(ValueError, match="only solve_approximate takes T"):
+            solve(ex1, path3, RunConfig(T=3))
+
     def test_hull_dimension_matches_null_space(self, ex1, path3):
         # the affine hull of the k* outputs spans the full solution set of
         # the stacked system: dimension = 2^m - rank(stacked coefficients)
@@ -186,6 +198,11 @@ class TestSolveApproximate:
     def test_requires_horizon(self, ex1, path3):
         with pytest.raises(ValueError, match="T"):
             solve_approximate(ex1, path3, RunConfig())
+
+    @pytest.mark.parametrize("config", [RunConfig(T=50, k_star=0), RunConfig(T=50, chi0_prior=9)])
+    def test_no_runs_refused(self, ex1, path3, config):
+        with pytest.raises(ValueError, match="k_star must be >= 1, got 0"):
+            solve_approximate(ex1, path3, config)
 
     def test_long_horizon_recovers_exact_set(self, ex1, path3):
         outcome = solve_approximate(ex1, path3, RunConfig(seed=5, T=2000))
@@ -277,6 +294,13 @@ class TestVerifySatisfiability:
         outcome = verify_satisfiability(system, g, RunConfig(seed=2))
         assert outcome.verdict == "unsatisfiable"
 
+    @pytest.mark.parametrize("name", ["ex1", "ex3"])
+    def test_no_runs_refused_before_stage_one(self, request, path3, name):
+        # stage one alone decides ex3, yet k_star = 0 is refused there too
+        system = request.getfixturevalue(name)
+        with pytest.raises(ValueError, match="k_star must be >= 1, got 0"):
+            verify_satisfiability(system, path3, RunConfig(k_star=0, epsilon=0.2))
+
     def test_rank_consistency_helper(self, ex1, ex3):
         assert stacked_rank_consistent(lift_system(ex1))
         assert not stacked_rank_consistent(lift_system(ex3))
@@ -322,6 +346,75 @@ class TestMissedSolutionRegression:
         assert outcome.verdict == "satisfiable"
         assert set(outcome.solutions) == MISSED_SOLUTION_SET
         assert outcome.diagnostics["nodes_agree"]
+
+
+EX1_SOLUTIONS = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1))
+
+
+class TestNodeLocality:
+    """Every node answers from its own equation and its neighbours' states:
+    no solve path may evaluate the whole system."""
+
+    @pytest.fixture(autouse=True)
+    def whole_system_unreadable(self, monkeypatch):
+        def refuse(system, x):
+            raise AssertionError("a solve path evaluated every equation")
+
+        monkeypatch.setattr(BooleanSystem, "satisfies", refuse)
+
+    @pytest.mark.parametrize("name, expected", [("ex1", EX1_SOLUTIONS), ("ex3", ()), ("ex4", ())])
+    def test_solve_exact(self, request, path3, name, expected):
+        outcome = solve_exact(request.getfixturevalue(name), path3, RunConfig(seed=7))
+        assert outcome.per_node_solutions == (expected,) * 3
+
+    @pytest.mark.parametrize(
+        "name, verdict, stage, expected",
+        [
+            ("ex1", "satisfiable", "solved", EX1_SOLUTIONS),
+            ("ex3", "unsatisfiable", "consensus-disagreement", ()),
+            ("ex4", "unsatisfiable", "empty-solution-set", ()),
+        ],
+    )
+    def test_verify_satisfiability(self, request, path3, name, verdict, stage, expected):
+        system = request.getfixturevalue(name)
+        outcome = verify_satisfiability(system, path3, RunConfig(seed=1, epsilon=0.2))
+        assert (outcome.verdict, outcome.stage) == (verdict, stage)
+        assert outcome.solutions == expected
+
+    def test_solve_approximate(self, ex1, path3):
+        outcome = solve_approximate(ex1, path3, RunConfig(seed=5, T=2000))
+        assert outcome.per_node_solutions == (EX1_SOLUTIONS,) * 3
+
+
+class TestTracerContract:
+    """perfbench/tracing.py times the layers by swapping wrappers into
+    ``netbool.solver``'s globals, so the solver has to keep every wrapped
+    name and call it through those globals.  Obsolete once the library
+    records its own spans."""
+
+    @pytest.fixture
+    def tracing(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return importlib.import_module("tracing")
+
+    def test_wrapped_names_are_solver_globals(self, tracing):
+        assert [name for name in tracing._WRAPPED if not hasattr(solver, name)] == []
+        # the wrapper reads the graph's node count from the second argument
+        params = list(inspect.signature(solver.distributed_lae).parameters)
+        assert params == ["eqs", "graph", "config", "initials"]
+
+    def test_solvers_call_through_the_globals(self, tracing, ex1, path3):
+        tracer = tracing.Tracer()
+        tracer.install(solver)
+        try:
+            solver.solve_exact(ex1, path3, RunConfig(seed=7))
+            solver.solve_approximate(ex1, path3, RunConfig(seed=7, T=50))
+            solver.verify_satisfiability(ex1, path3, RunConfig(seed=1))
+        finally:
+            tracer.uninstall(solver)
+        assert {s.name for s in tracer.spans} == {name for name, _ in tracing._WRAPPED.values()}
+        lae = [s for s in tracer.spans if s.name == "network.lae"]
+        assert lae and all(s.counters["n"] == 3 for s in lae)
 
 
 class TestOracleSolve:
