@@ -30,17 +30,13 @@ from .linalg import (
     affine_from_points,
     best_affine_fit,
     dist_to_affine,
-    pseudoinverse,
 )
 from .matricization import (
-    BooleanMatrix,
     boolean_matricization,
     btoi,
     chi0,
     itob,
-    theta,
     unit_vector,
-    upsilon,
 )
 from .network import Graph, build_weights, consensus, run_to_convergence
 from .problem import ProblemError, ProblemFile, load_problem

@@ -3,15 +3,17 @@
 Subcommands:
 
 * ``solve``        - exact distributed solve (satisfiable systems)
-* ``solve-approx`` - truncated-consensus solve, requires ``--T``; only
-  it has ``--T``, ``--c-star`` and ``--gamma-star``
+* ``solve-approx`` - truncated-consensus solve; only it has, and it
+  requires, ``--T``
 * ``sat``          - distributed satisfiability verification
 * ``oracle``       - centralized exhaustive reference solver
 * ``trace``        - dump the per-round node states of one projection
-  consensus run as CSV (columns: round, node, coordinate, value)
+  consensus run as CSV (columns: round, node, coordinate, value); it
+  takes only ``--seed``, ``--epsilon``, ``--rounds`` and ``--output``
 
-The result document is JSON on stdout (or ``--output``).  Exit status:
-0 on success, 2 when ``sat`` returns unsatisfiable, 1 on input errors.
+The result document (JSON), or the trace CSV, goes to stdout (or
+``--output``).  Exit status: 0 on success, 2 when ``sat`` returns
+unsatisfiable, 1 on input errors.
 Identical problem files and seeds produce byte-identical documents.
 ``solve``, ``solve-approx`` and ``sat`` also print a ``warning:`` line to
 stderr when the nodes' solution sets disagree or a consensus stage hit
@@ -54,17 +56,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_consensus(p: argparse.ArgumentParser) -> None:
+    """Options of every subcommand that runs consensus."""
     p.add_argument("problem", help="problem file (JSON)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--output", type=str, default=None, help="write the result here instead of stdout")
+
+
+def _add_solver(p: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that solve."""
+    _add_consensus(p)
     p.add_argument("--k-star", type=int, default=None, dest="k_star")
     p.add_argument("--chi0-prior", type=int, default=None, dest="chi0_prior")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
-    p.add_argument("--trace", type=str, default=None, metavar="PATH.csv",
-                   help="also dump one consensus trajectory as CSV")
-    p.add_argument("--output", type=str, default=None, help="write the result document here instead of stdout")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,25 +79,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="exact distributed solve")
-    _add_common(p_solve)
+    _add_solver(p_solve)
     p_solve.add_argument("--verify", action="store_true",
                          help="cross-check the solution set against the oracle")
 
     p_approx = sub.add_parser("solve-approx", help="solve with T-round consensus")
-    _add_common(p_approx)
+    _add_solver(p_approx)
     p_approx.add_argument("--T", type=int, default=None, dest="T")
-    p_approx.add_argument("--c-star", type=float, default=None, dest="c_star")
-    p_approx.add_argument("--gamma-star", type=float, default=None, dest="gamma_star")
 
     p_sat = sub.add_parser("sat", help="verify satisfiability")
-    _add_common(p_sat)
+    _add_solver(p_sat)
 
     p_oracle = sub.add_parser("oracle", help="centralized brute-force solve")
     p_oracle.add_argument("problem")
     p_oracle.add_argument("--output", type=str, default=None)
 
     p_trace = sub.add_parser("trace", help="dump a consensus trajectory")
-    _add_common(p_trace)
+    _add_consensus(p_trace)
     p_trace.add_argument("--rounds", type=int, default=50)
     return parser
 
@@ -99,10 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(problem: ProblemFile, args: argparse.Namespace) -> RunConfig:
     overrides = {
         key: getattr(args, key, None)
-        for key in (
-            "seed", "epsilon", "k_star", "chi0_prior", "T",
-            "c_star", "gamma_star", "tol", "max_rounds",
-        )
+        for key in ("seed", "epsilon", "k_star", "chi0_prior", "T", "tol", "max_rounds")
     }
     return merge_config(problem, overrides)
 
@@ -226,12 +227,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     graph = problem.graph()
 
     if args.command == "trace":
-        _write_trace(problem, config, args.trace, args.rounds)
+        _write_trace(problem, config, args.output, args.rounds)
         return 0
-    if args.trace is not None:
-        # side-channel trajectory for plotting: one 50-round recursion from
-        # the same seed as the first solver run
-        _write_trace(problem, config, args.trace, 50)
 
     if args.command == "solve":
         outcome = solve_exact(system, graph, config)

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "pseudoinverse",
     "LocalLinearEquation",
     "AffineSubspace",
     "affine_from_points",
@@ -27,22 +26,12 @@ __all__ = [
 DEFAULT_RELATIVE_PIVOT = 1e-8
 
 
-def pseudoinverse(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    ``tol`` is the relative singular-value cutoff: singular values below
-    tol times the largest are treated as zero.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.size == 0 or not np.any(a):
-        return np.zeros(a.T.shape)
-    return np.linalg.pinv(a, rcond=tol)
-
-
 @dataclass
 class LocalLinearEquation:
     """The pair (h, z) of a linear equation h y = z, with the projector
-    data onto its affine solution set cached.
+    data onto its affine solution set cached: ``h_pinv`` is the
+    Moore-Penrose pseudoinverse of h (singular values below 1e-12 times
+    the largest count as zero).
 
     When the equation is consistent, the projection y - h^+ (h y - z) of
     the consensus round maps any y to the Euclidean-nearest solution; when
@@ -61,7 +50,7 @@ class LocalLinearEquation:
             raise ValueError(
                 f"incompatible shapes: h {self.h.shape}, z {self.z.shape}"
             )
-        self.h_pinv = pseudoinverse(self.h)
+        self.h_pinv = np.linalg.pinv(self.h, rcond=1e-12)
 
     @property
     def dim(self) -> int:

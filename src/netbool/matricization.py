@@ -9,15 +9,17 @@ Conventions, used everywhere downstream:
 * ``btoi([x1..xm]) = sum_k xk * 2^(m-k) + 1``, so the all-zero assignment
   maps to index 1 and the all-one assignment to 2^m.
 
-A Boolean mapping g over m variables is represented by a 2 x 2^m matrix
-whose i-th column is the unit vector indexed ``g(itob(i)) + 1``; applying
-it to the unit vector of an assignment yields the unit vector of the
-output bit.
+``btoi`` is the paper's theta (the Kronecker-product embedding of an
+assignment into the unit vectors of R^(2^m)) and ``itob`` its inverse.
+
+A Boolean mapping g over m variables is represented by a dense 2 x 2^m
+array whose i-th column is the unit vector indexed ``g(itob(i)) + 1``;
+applying it to the unit vector of an assignment yields the unit vector of
+the output bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,10 +29,7 @@ from .formula import BooleanFormula, BooleanSystem, evaluate, truth_table
 __all__ = [
     "btoi",
     "itob",
-    "theta",
-    "upsilon",
     "unit_vector",
-    "BooleanMatrix",
     "boolean_matricization",
     "chi0",
 ]
@@ -53,20 +52,6 @@ def itob(i: int, m: int) -> list[int]:
     return [(i - 1) >> (m - 1 - k) & 1 for k in range(m)]
 
 
-def theta(x: Sequence[int]) -> int:
-    """Map an assignment to its unit-vector index (1-based).
-
-    Numerically equal to btoi; semantically this is the Kronecker-product
-    embedding of the assignment into the unit vectors of R^(2^m).
-    """
-    return btoi(x)
-
-
-def upsilon(i: int, m: int) -> list[int]:
-    """Map a unit-vector index back to its assignment; inverse of theta."""
-    return itob(i, m)
-
-
 def unit_vector(i: int, dim: int) -> np.ndarray:
     """Dense i-th column (1-based) of the dim x dim identity matrix."""
     if not 1 <= i <= dim:
@@ -76,43 +61,16 @@ def unit_vector(i: int, dim: int) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class BooleanMatrix:
-    """Unit-column representation of a Boolean mapping over m variables.
-
-    ``tags[i-1]`` in {1, 2} names the unit column at position i: 1 for the
-    mapping value 0, 2 for the value 1.  The dense 2 x 2^m realization is
-    materialized on demand.
-    """
-
-    m: int
-    tags: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.tags) != 2**self.m:
-            raise ValueError(
-                f"expected {2**self.m} columns for m={self.m}, got {len(self.tags)}"
-            )
-        if any(t not in (1, 2) for t in self.tags):
-            raise ValueError("column tags must be 1 or 2")
-
-    def dense(self) -> np.ndarray:
-        """Dense 2 x 2^m float matrix with one 1 per column."""
-        out = np.zeros((2, len(self.tags)))
-        for col, tag in enumerate(self.tags):
-            out[tag - 1, col] = 1.0
-        return out
-
-
-def boolean_matricization(f: BooleanFormula, m: int) -> BooleanMatrix:
-    """Unit-column matrix of the mapping defined by ``f`` over x1..xm.
+def boolean_matricization(f: BooleanFormula, m: int) -> np.ndarray:
+    """Unit-column matrix of the mapping defined by ``f`` over x1..xm, as a
+    dense, C-contiguous 2 x 2^m float array.
 
     Column i is the unit vector indexed ``f(itob(i)) + 1``, computed by
     enumerating the truth table.  The result is unique: it depends only on
     the mapping, not on the particular formula.
     """
-    values = truth_table(f, m)
-    return BooleanMatrix(m, tuple(v + 1 for v in values))
+    values = np.array(truth_table(f, m), dtype=float)
+    return np.stack([1.0 - values, values])
 
 
 def chi0(system: BooleanSystem) -> int:

@@ -77,16 +77,10 @@ class Graph:
         return len(self._neighbor_table[i - 1])
 
     def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj: dict[int, list[int]] = {i: [] for i in range(1, self.n + 1)}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
         seen = {1}
         stack = [1]
         while stack:
-            for j in adj[stack.pop()]:
+            for j in self.neighbors(stack.pop()):
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)

@@ -19,7 +19,7 @@ from .linalg import AffineSubspace
 __all__ = ["boolean_vector_search"]
 
 
-def boolean_vector_search(hull: AffineSubspace, tol: float = 1e-6) -> set[int]:
+def boolean_vector_search(hull: AffineSubspace, tol: float) -> set[int]:
     """Indices i with the unit vector e_i within Euclidean distance ``tol``
     of the affine subspace ``hull``."""
     basis = hull.basis

@@ -67,17 +67,14 @@ class RunConfig:
     ``k_star`` to 2^m + 1 randomized consensus runs, or 2^m - chi0_prior + 1
     when the image cardinality of the system is supplied as prior
     knowledge.  ``T``, the truncated mode's rounds per run, is refused by
-    the other modes; ``c_star``/``gamma_star`` are the assumed
-    residual-bound constants of that truncated mode (defaults: 2^(m/2) * n,
-    and a rate calibrated from an observed run).
+    the other modes; that mode's residual-bound constants c* and gamma*
+    are not fields, ``solve_approximate`` computes them.
     """
 
     epsilon: float | None = None
     k_star: int | None = None
     chi0_prior: int | None = None
     T: int | None = None
-    c_star: float | None = None
-    gamma_star: float | None = None
     tol: float = 1e-6
     seed: int = 0
     consensus_tol: float = 1e-10
@@ -120,7 +117,7 @@ def lift_system(system: BooleanSystem) -> list[LocalLinearEquation]:
     f_i, z_i the unit vector of the required output bit."""
     eqs = []
     for f, rhs in system.equations:
-        h = boolean_matricization(f, system.m).dense()
+        h = boolean_matricization(f, system.m)
         z = unit_vector(rhs + 1, 2)
         eqs.append(LocalLinearEquation(h, z))
     return eqs
@@ -238,13 +235,10 @@ def solve_exact(
 
 
 def estimate_contraction_rate(
-    eqs: Sequence[LocalLinearEquation],
-    graph: Graph,
-    config: RunConfig,
-    calibration_rounds: int = 400,
+    eqs: Sequence[LocalLinearEquation], graph: Graph, config: RunConfig
 ) -> float:
     """Per-round exponential decay rate of the projection-consensus state
-    change, fitted on an observed run from seeded random initials.
+    change, fitted on an observed 400-round run from seeded random initials.
 
     The fitted slope is shrunk by 20% so the returned rate errs toward a
     conservative (smaller) value, as the truncated-mode error budget
@@ -254,7 +248,7 @@ def estimate_contraction_rate(
     w = build_weights(graph, config.effective_epsilon(graph.n))
     prev = rng.random((graph.n, eqs[0].dim))
     shifts: list[float] = []
-    for states in islice(consensus(w, prev, eqs), calibration_rounds):
+    for states in islice(consensus(w, prev, eqs), 400):
         shifts.append(float(np.abs(states - prev).max()))
         prev = states
     # fit log-shift only over the cleanly decaying window
@@ -275,8 +269,10 @@ def solve_approximate(
     """Distributed solve with the linear stage truncated to T rounds.
 
     Each node keeps its own T-round outputs, which carry a residual bounded
-    by c* exp(-gamma* T).  The node fits the lowest-dimensional affine
-    subspace whose summed distance to its outputs stays within the budget
+    by c* exp(-gamma* T), with c* = 2^(m/2) n and gamma* the rate
+    ``estimate_contraction_rate`` calibrates; both are reported in the
+    diagnostics.  The node fits the lowest-dimensional affine subspace
+    whose summed distance to its outputs stays within the budget
     eps_T = c* exp(-gamma* T) * k and hands that fit itself to the
     unit-vector search, with the per-run residual scale as the membership
     distance.  Each node reports the unit vectors of its own fit as they
@@ -296,14 +292,8 @@ def solve_approximate(
     """
     eqs, k, linear, rounds, _ = _linear_stage(system, graph, config, True)
     d = 2**system.m
-    c_star = (
-        config.c_star if config.c_star is not None else 2.0 ** (system.m / 2) * graph.n
-    )
-    gamma_star = (
-        config.gamma_star
-        if config.gamma_star is not None
-        else estimate_contraction_rate(eqs, graph, config)
-    )
+    c_star = 2.0 ** (system.m / 2) * graph.n
+    gamma_star = estimate_contraction_rate(eqs, graph, config)
     # distance budget of the dimension fit; floored at tol so that very
     # large T degenerates to the exact-mode behavior instead of to an
     # unattainable zero budget

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netbool.cli import main
+from netbool.cli import _build_parser, main
 from netbool.problem import ProblemError, load_problem, merge_config
+from netbool.solver import RunConfig
 
 EX1_DOC = {
     "m": 3,
@@ -218,11 +221,66 @@ class TestCliHorizon:
         assert captured.out == ""
         assert captured.err.startswith("error: only solve_approximate takes T")
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("solve-approx", "--c-star"),
+            ("solve-approx", "--gamma-star"),
+            ("trace", "--k-star"),
+            ("trace", "--chi0-prior"),
+            ("trace", "--tol"),
+            ("trace", "--max-rounds"),
+        ],
+    )
+    def test_unread_flags_refused(self, ex1_path, command, flag, capsys):
+        assert main([command, ex1_path, flag, "3"]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "solve-approx", "sat"])
+    def test_trace_side_channel_refused(self, ex1_path, tmp_path, command, capsys):
+        out = tmp_path / "trace.csv"
+        assert main([command, ex1_path, "--trace", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["c_star", "gamma_star"])
+    def test_bound_constants_in_problem_file_refused(self, tmp_path, key, capsys):
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(dict(EX1_DOC, config={key: 0.1})))
+        assert main(["solve-approx", str(path), "--T", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"unknown config keys ['{key}']" in captured.err
+
+
+def test_option_surface():
+    # every option and RunConfig field is pinned, so a new knob shows up here
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    solver = ["--seed", "--epsilon", "--output", "--k-star", "--chi0-prior", "--tol", "--max-rounds"]
+    assert options == {
+        "solve": solver + ["--verify"],
+        "solve-approx": solver + ["--T"],
+        "sat": solver,
+        "oracle": ["--output"],
+        "trace": ["--seed", "--epsilon", "--output", "--rounds"],
+    }
+    assert [f.name for f in dataclasses.fields(RunConfig)] == [
+        "epsilon", "k_star", "chi0_prior", "T", "tol",
+        "seed", "consensus_tol", "max_rounds", "disagreement_tol",
+    ]
+
 
 class TestCliTrace:
     def test_trace_csv(self, ex3_path, tmp_path):
         out = tmp_path / "trace.csv"
-        code = main(["trace", ex3_path, "--seed", "3", "--rounds", "10", "--trace", str(out)])
+        code = main(["trace", ex3_path, "--seed", "3", "--rounds", "10", "--output", str(out)])
         assert code == 0
         with out.open() as handle:
             rows = list(csv.reader(handle))
@@ -232,13 +290,6 @@ class TestCliTrace:
         assert {row[1] for row in rows[1:]} == {"1", "2", "3"}
         last = [float(row[3]) for row in rows[1:] if row[0] == "10"]
         assert all(np.isfinite(v) for v in last)
-
-    def test_trace_alongside_solve(self, ex1_path, tmp_path, capsys):
-        out = tmp_path / "trace.csv"
-        code = main(["solve", ex1_path, "--seed", "7", "--trace", str(out)])
-        assert code == 0
-        assert out.exists()
-        capsys.readouterr()  # drain the result document
 
 
 class TestCliErrors:

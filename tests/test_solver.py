@@ -52,11 +52,11 @@ class TestLiftSystem:
         assert rank == 1
 
     def test_solutions_lie_in_every_solution_set(self, ex1):
-        from netbool.matricization import theta, unit_vector
+        from netbool.matricization import btoi, unit_vector
 
         eqs = lift_system(ex1)
         for x in oracle_solve(ex1):
-            e = unit_vector(theta(x), 8)
+            e = unit_vector(btoi(x), 8)
             for eq in eqs:
                 assert eq.residual(e) < 1e-12
 
