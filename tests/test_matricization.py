@@ -11,8 +11,6 @@ from netbool.matricization import boolean_matricization, btoi, chi0, itob, unit_
 
 class TestIndexMaps:
     def test_btoi(self):
-        assert btoi([0]) == 1
-        assert btoi([1]) == 2
         assert btoi([0, 0, 0]) == 1
         assert btoi([1, 0, 0]) == 5
         assert btoi([1, 0, 1]) == 6
@@ -26,14 +24,18 @@ class TestIndexMaps:
         assert itob(3, 3) == [0, 1, 0]
         # 1*4 + 1*2 + 1*1 + 1 = 8
         assert itob(8, 3) == [1, 1, 1]
-        assert itob(5, 3) == [1, 0, 0]
-        assert itob(6, 3) == [1, 0, 1]
 
     def test_itob_range(self):
         with pytest.raises(ValueError):
             itob(0, 3)
         with pytest.raises(ValueError):
             itob(9, 3)
+
+    def test_theta(self):
+        # btoi is the paper's theta
+        assert btoi([0]) == 1
+        assert btoi([1]) == 2
+        assert btoi([1, 0, 0]) == 5
 
     def test_theta_matches_kronecker(self):
         # btoi is the paper's theta; oracle: build the actual Kronecker
@@ -43,6 +45,12 @@ class TestIndexMaps:
             dense = np.kron(np.kron(factors[0], factors[1]), factors[2])
             assert dense[btoi(x) - 1] == 1.0
             assert dense.sum() == 1.0
+
+    def test_upsilon(self):
+        # itob is the paper's upsilon
+        assert itob(1, 3) == [0, 0, 0]
+        assert itob(5, 3) == [1, 0, 0]
+        assert itob(6, 3) == [1, 0, 1]
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_bijection_exhaustive(self, m):
