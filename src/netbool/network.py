@@ -6,8 +6,11 @@ and, in the projection variant, projects the mix onto its local affine
 solution set.  ``consensus`` runs every node's round at once: the mix is
 the product W X of the mixing matrix with the stacked states, and row i
 of it reads only node i's neighbors, whose weights alone are nonzero.
-Rounds are deterministic: each is a fixed sequence of array products, so
-under a fixed BLAS identical inputs give bit-identical trajectories.
+Independent runs on the same network step together as extra columns of
+X: row i then holds node i's states of every run, so a node still reads
+only its own equation and its neighbors' rows.  Rounds are
+deterministic: each is a fixed sequence of array products, so under a
+fixed BLAS identical inputs give bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -109,19 +112,25 @@ def consensus(
     states: np.ndarray,
     eqs: Sequence[LocalLinearEquation] | None = None,
 ) -> Iterator[np.ndarray]:
-    """The rounds of one synchronous run from ``states`` (row i-1 is node
-    i): an endless generator of (n, d) state arrays, a new array each round.
+    """The rounds of synchronous runs from ``states``: an endless generator
+    of state arrays, a new array each round.  ``states`` is one run's
+    (n, d) array (row i-1 is node i) or a batch of k runs as (k, n, d);
+    each round has the input's shape.
 
     A round is x <- P(W x): every node mixes with its neighbors through
     the mixing matrix ``w``, then, when ``eqs`` is given, projects onto its
     own affine solution set by y - h^+ (h y - z), for all nodes at once as
     batched products on the equations stacked into (n, r, d) arrays.  With
-    ``eqs`` None the round is plain averaging.  The inputs are checked when
+    ``eqs`` None the round is plain averaging.  The k runs live in one
+    C-contiguous (n, d k) array, coordinate-major with the run as the
+    fastest axis, so a round is one ``w @ x`` for every run and one
+    projection on its (n, d, k) view; one run is the case k = 1, where
+    that array is the (n, d) state itself.  The inputs are checked when
     the first round is requested; the equations must share one shape.
     """
     x = np.asarray(states, dtype=float)
     n = w.shape[0]
-    if x.ndim != 2 or x.shape[0] != n:
+    if x.ndim not in (2, 3) or x.shape[-2] != n:
         raise ValueError(
             f"expected one state row per node, got shape {x.shape} for n={n}"
         )
@@ -131,11 +140,16 @@ def consensus(
         h = np.stack([eq.h for eq in eqs])  # (n, r, d)
         h_pinv = np.stack([eq.h_pinv for eq in eqs])  # (n, d, r)
         z = np.stack([eq.z for eq in eqs])[:, :, None]  # (n, r, 1)
+    batched = x.ndim == 3
+    k, d = (x.shape[0], x.shape[2]) if batched else (1, x.shape[1])
+    if batched:
+        x = x.transpose(1, 2, 0).reshape(n, d * k)  # a C-contiguous copy
     while True:
         x = w @ x
+        y = x.reshape(n, d, k)
         if eqs is not None:
-            x -= (h_pinv @ (h @ x[:, :, None] - z))[:, :, 0]
-        yield x
+            y -= h_pinv @ (h @ y - z)
+        yield y.transpose(2, 0, 1) if batched else x
 
 
 def run_to_convergence(
@@ -145,14 +159,21 @@ def run_to_convergence(
     tol: float,
     max_rounds: int,
 ) -> tuple[np.ndarray, int, bool]:
-    """Run ``consensus(w, states, eqs)`` until the largest per-node state
-    change in one round drops below ``tol`` (sup norm), or for
-    ``max_rounds``.  Returns (final states, rounds used, converged).
+    """Run ``consensus(w, states, eqs)`` on one run's (n, d) ``states``
+    until the largest per-node state change in one round drops below
+    ``tol`` (sup norm), or for ``max_rounds``.  Returns (final states,
+    rounds used, converged).  A (k, n, d) batch is refused: its runs
+    converge at different rounds, and one stop would hide that.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if np.ndim(states) == 3 and np.shape(states)[1] == w.shape[0]:
+        raise ValueError(
+            f"run_to_convergence steps one run's (n, d) states, got a batch "
+            f"of shape {np.shape(states)}"
+        )
     prev = states
     for rounds, x in enumerate(consensus(w, states, eqs), start=1):
         converged = bool(np.abs(x - prev).max() < tol)

@@ -6,9 +6,10 @@ Four entry points:
 
 * ``solve_exact``       - run consensus to numerical convergence, search
   the hull of the resulting solutions (requires a satisfiable system);
-* ``solve_approximate`` - consensus truncated to T rounds per run; each
-  node fits a minimal-dimension affine subspace to its own approximate
-  solutions under an exponential error budget, then searches that;
+* ``solve_approximate`` - consensus truncated to T rounds per run, all
+  runs stepped as one batch; each node fits a minimal-dimension affine
+  subspace to its own approximate solutions under an exponential error
+  budget, then searches that;
 * ``verify_satisfiability`` - decide satisfiability with no prior
   knowledge: disagreeing consensus limits expose an inconsistent lifted
   system, an empty search result exposes Boolean unsatisfiability;
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import islice
 from typing import Sequence
 
@@ -129,12 +131,15 @@ def distributed_lae(
     config: RunConfig,
     initials: np.ndarray,
 ) -> tuple[np.ndarray, int, bool]:
-    """One projection-consensus run of the network linear equation.
+    """Projection-consensus runs of the network linear equation from
+    ``initials``: one run's (n, d) states, or with ``T`` set a batch of k
+    runs as (k, n, d) that step together.
 
-    With ``config.T`` unset, ``run_to_convergence`` iterates until the
-    per-round state change drops below ``consensus_tol`` (or
+    With ``config.T`` unset, ``run_to_convergence`` iterates one run until
+    the per-round state change drops below ``consensus_tol`` (or
     ``max_rounds``); with ``T`` set, exactly T rounds of ``consensus`` run.
-    Returns (per-node states, rounds, converged).
+    Returns (final states, shaped and C-contiguous like ``initials``, the
+    rounds summed over the runs, converged).
     """
     w = build_weights(graph, config.effective_epsilon(graph.n))
     if config.T is None:
@@ -144,7 +149,8 @@ def distributed_lae(
     states = initials
     for states in islice(consensus(w, initials, eqs), config.T):
         pass
-    return states, config.T, True
+    runs = len(initials) if np.ndim(initials) == 3 else 1
+    return np.ascontiguousarray(states), runs * config.T, True
 
 
 def _check_inputs(
@@ -169,21 +175,28 @@ def _linear_stage(
     system: BooleanSystem, graph: Graph, config: RunConfig, truncated: bool
 ) -> tuple[list[LocalLinearEquation], int, np.ndarray, list[int], bool]:
     """The lift and the k* seeded ``distributed_lae`` runs both solve modes
-    start from.  Returns (equations, k*, the runs' states as (k*, n, 2^m),
-    per-run rounds, whether every run converged)."""
+    start from: the truncated mode's fixed-horizon runs as one batched
+    pass, the exact mode's convergent runs one by one, each stopping at
+    its own round.  Returns (equations, k*, the runs' states as
+    (k*, n, 2^m), per-run rounds, whether every run converged)."""
     k = _check_inputs(system, graph, config, truncated)
     eqs = lift_system(system)
-    rng = np.random.default_rng(config.seed)
-    runs: list[np.ndarray] = []
-    rounds_used: list[int] = []
-    all_converged = True
-    for _ in range(k):
-        initials = rng.random((graph.n, 2**system.m))
-        states, rounds, converged = distributed_lae(eqs, graph, config, initials)
-        runs.append(states)
-        rounds_used.append(rounds)
-        all_converged &= converged
-    return eqs, k, np.stack(runs), rounds_used, all_converged
+    initials = np.random.default_rng(config.seed).random((k, graph.n, 2**system.m))
+    if truncated:
+        states, _, _ = distributed_lae(eqs, graph, config, initials)
+        return eqs, k, states, [config.T] * k, True
+    states, rounds, converged = zip(
+        *(distributed_lae(eqs, graph, config, x) for x in initials)
+    )
+    return eqs, k, np.stack(states), list(rounds), all(converged)
+
+
+@lru_cache(maxsize=4096)
+def _assignment(i: int, m: int) -> Assignment:
+    """The assignment of unit-vector index ``i``, one shared tuple per
+    (i, m), so equal answers of different nodes and solves are one object;
+    the bound holds every index up to m = 12."""
+    return tuple(itob(i, m))
 
 
 def _search_outcome(
@@ -198,7 +211,7 @@ def _search_outcome(
     of its own subspace, as assignments; ``nodes_agree`` says whether all
     nodes found the same set, and the outcome reports node 1's."""
     per_node = tuple(
-        tuple(tuple(itob(i, m)) for i in sorted(boolean_vector_search(sub, tol)))
+        tuple(_assignment(i, m) for i in sorted(boolean_vector_search(sub, tol)))
         for sub in subspaces
     )
     diagnostics["nodes_agree"] = all(s == per_node[0] for s in per_node)
@@ -278,8 +291,9 @@ def solve_approximate(
     distance.  Each node reports the unit vectors of its own fit as they
     stand: for small T a fit can hold non-solutions or miss solutions, and
     the nodes' sets may disagree, which ``nodes_agree`` exposes.  The k*
-    runs are the same seeded linear stage as ``solve_exact``'s, stopped
-    after T rounds.
+    runs start from the same seeded initials as ``solve_exact``'s; since
+    all of them stop after T rounds, they step together as one batched
+    ``distributed_lae`` pass of T rounds.
 
     The fitted dimension is read off one SVD per node: the best fits are
     nested principal subspaces, so ``min_fit_dim`` gets every dimension's

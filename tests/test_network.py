@@ -126,7 +126,9 @@ class TestProjectionConsensus:
         with pytest.raises(ValueError, match="expected 3 equations"):
             next(rounds)
 
-    @pytest.mark.parametrize("shape", [(2, 8), (4, 8), (8,)])
+    @pytest.mark.parametrize(
+        "shape", [(2, 8), (4, 8), (8,), (2, 2, 8), (2, 4, 8), (2, 3, 8, 1)]
+    )
     @pytest.mark.parametrize("with_eqs", [True, False])
     def test_wrong_state_shape(self, ex1, path3, shape, with_eqs):
         eqs = lift_system(ex1) if with_eqs else None
@@ -135,6 +137,10 @@ class TestProjectionConsensus:
             next(consensus(w, np.zeros(shape), eqs))
         with pytest.raises(ValueError, match="one state row per node"):
             run_to_convergence(w, np.zeros(shape), eqs, 1e-6, 10)
+        # a well-formed batch steps under consensus, but its runs would
+        # share one stop round under run_to_convergence
+        with pytest.raises(ValueError, match="one run's"):
+            run_to_convergence(w, np.zeros((2, 3, 8)), eqs, 1e-6, 10)
 
     def test_projected_sum_conserved(self, ex1, path3):
         # the sum of the stacked-system projections of the node states is
@@ -172,6 +178,36 @@ class TestProjectionConsensus:
         big = nullers @ np.kron(w, np.eye(8))
         expected = big @ states.ravel() + offsets
         assert np.allclose(stepped.ravel(), expected, atol=1e-12)
+
+
+class TestBatchedRuns:
+    def test_single_run_round_is_the_plain_formula(self, path3):
+        # k = 1: the (n, d) state itself, stepped by exactly these products
+        system = BooleanSystem.from_texts(4, EX1_TEXTS)
+        eqs = lift_system(system)
+        w = build_weights(path3, 0.3)
+        h = np.stack([eq.h for eq in eqs])
+        h_pinv = np.stack([eq.h_pinv for eq in eqs])
+        z = np.stack([eq.z for eq in eqs])[:, :, None]
+        x = np.random.default_rng(11).random((3, 16))
+        for stepped in islice(consensus(w, x, eqs), 200):
+            x = w @ x
+            x -= (h_pinv @ (h @ x[:, :, None] - z))[:, :, 0]
+            assert stepped.shape == (3, 16)
+            assert np.array_equal(stepped, x)
+
+    @pytest.mark.parametrize("with_eqs", [True, False])
+    def test_batch_matches_single_runs(self, ex1, path3, with_eqs):
+        eqs = lift_system(ex1) if with_eqs else None
+        w = build_weights(path3, 0.3)
+        batch = np.random.default_rng(12).random((5, 3, 8))
+        before = batch.copy()
+        singles = [list(islice(consensus(w, run, eqs), 200)) for run in batch]
+        for t, stepped in enumerate(islice(consensus(w, batch, eqs), 200)):
+            assert stepped.shape == (5, 3, 8)
+            for j in range(5):
+                assert np.abs(stepped[j] - singles[j][t]).max() < 1e-12
+        assert np.array_equal(batch, before)  # the input is not stepped in place
 
 
 class TestRunToConvergence:

@@ -116,6 +116,22 @@ class TestDistributedLAE:
             states = next(rounds)
         assert np.array_equal(states_short, states)
 
+    def test_finite_horizon_steps_a_batch(self, ex1, path3):
+        eqs = lift_system(ex1)
+        initials = np.random.default_rng(5).random((4, 3, 8))
+        config = RunConfig(T=30)
+        states, rounds, converged = distributed_lae(eqs, path3, config, initials)
+        assert converged and type(rounds) is int and rounds == 4 * 30
+        assert states.shape == (4, 3, 8) and states.flags.c_contiguous
+        for run, start in zip(states, initials):
+            single, _, _ = distributed_lae(eqs, path3, config, start)
+            assert np.abs(run - single).max() < 1e-12
+
+    def test_convergent_runs_refuse_a_batch(self, ex1, path3):
+        initials = np.random.default_rng(6).random((4, 3, 8))
+        with pytest.raises(ValueError, match="one run's"):
+            distributed_lae(lift_system(ex1), path3, RunConfig(), initials)
+
 
 class TestSolveExact:
     def test_first_worked_example(self, ex1, path3):
@@ -143,6 +159,11 @@ class TestSolveExact:
         for node_set in outcome.per_node_solutions:
             for x in node_set:
                 assert ex1.satisfies(x)
+
+    def test_nodes_share_assignment_tuples(self, ex1, path3):
+        first, second, _ = solve_exact(ex1, path3, RunConfig(seed=7)).per_node_solutions
+        assert first and first == second
+        assert all(a is b for a, b in zip(first, second))
 
     def test_deterministic(self, ex1, path3):
         a = solve_exact(ex1, path3, RunConfig(seed=11))
@@ -415,6 +436,19 @@ class TestTracerContract:
         assert {s.name for s in tracer.spans} == {name for name, _ in tracing._WRAPPED.values()}
         lae = [s for s in tracer.spans if s.name == "network.lae"]
         assert lae and all(s.counters["n"] == 3 for s in lae)
+
+    def test_batched_pass_counts_run_rounds(self, tracing, ex1, path3):
+        # the k* truncated runs are one span, whose rounds still count every
+        # run's rounds, so network.rounds and node_rounds keep their meaning
+        tracer = tracing.Tracer()
+        tracer.install(solver)
+        try:
+            solver.solve_approximate(ex1, path3, RunConfig(seed=7, T=50))
+        finally:
+            tracer.uninstall(solver)
+        (lae,) = [s for s in tracer.spans if s.name == "network.lae"]
+        assert type(lae.counters["rounds"]) is int and lae.counters["rounds"] == 9 * 50
+        assert lae.counters["converged"] is True
 
 
 class TestOracleSolve:
