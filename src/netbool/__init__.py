@@ -34,7 +34,6 @@ from .linalg import (
 from .matricization import (
     boolean_matricization,
     btoi,
-    chi0,
     itob,
     unit_vector,
 )

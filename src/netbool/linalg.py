@@ -1,10 +1,13 @@
-"""Dense linear algebra used by the consensus engine and the subspace search.
+"""Dense linear algebra used by the consensus engine, the solvers' affine
+hulls and fits, and the subspace search.
 
 Matrices and vectors are plain numpy float arrays.  Rank decisions take
 an absolute threshold: a singular value (``affine_from_points``) counts
 only when it is above it.  When none is given, the threshold is 1e-8
 times the largest singular value of the input, which comfortably absorbs
-the ~1e-10 residue that converged consensus output carries.
+the ~1e-10 residue that converged consensus output carries.  The
+truncated mode's fit (``best_affine_fit``) picks its dimension by a
+summed-distance budget instead.  Each takes one thin SVD.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ __all__ = [
     "affine_from_points",
     "dist_to_affine",
     "best_affine_fit",
-    "min_fit_dim",
 ]
 
 DEFAULT_RELATIVE_PIVOT = 1e-8
@@ -113,40 +115,26 @@ def dist_to_affine(y: np.ndarray, a: AffineSubspace) -> float:
     return float(np.linalg.norm(y - a.project(y)))
 
 
-def best_affine_fit(points: Sequence[np.ndarray], target_dim: int) -> AffineSubspace:
-    """Affine subspace of the given dimension minimizing the sum of squared
-    distances to the points: the centroid plus the top principal directions
-    of the centered point matrix."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError("expected at least one point")
-    d = pts.shape[1]
-    if not 0 <= target_dim <= d:
-        raise ValueError(f"target dimension {target_dim} out of range 0..{d}")
-    centroid = pts.mean(axis=0)
-    if target_dim == 0:
-        return AffineSubspace(d, centroid, np.zeros((0, d)))
-    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=True)
-    return AffineSubspace(d, centroid, vt[:target_dim].copy())
+def best_affine_fit(
+    points: Sequence[np.ndarray], *, budget: float
+) -> tuple[AffineSubspace, np.ndarray]:
+    """Lowest-dimensional affine subspace whose summed distance to the
+    points stays within ``budget``, from one thin SVD.
 
-
-def min_fit_dim(
-    points: Sequence[np.ndarray], budget: float
-) -> tuple[int, np.ndarray]:
-    """Smallest b whose best b-dimensional affine fit keeps the summed
-    distance to the points within ``budget``, from one thin SVD.
-
-    The fits of ``best_affine_fit`` are nested principal subspaces
-    (Eckart-Young): with the centred points written as U S V^T, point p's
-    squared distance to the b-dimensional fit is the tail sum over j >= b
-    of (U S)[p, j]^2.  Summing the square roots of those tails over the
-    points gives the fit's total distance for every b at once; it never
-    increases with b, so the pick is the first b whose total is at most
-    ``budget`` (d when none is).
+    With the centred points written as U S V^T, the best b-dimensional fit
+    (least summed squared distance) is the centroid plus the first b rows
+    of V^T, and these fits are nested (Eckart-Young): point p's squared
+    distance to the b-dimensional one is the tail sum over j >= b of
+    (U S)[p, j]^2.  Summing the square roots of those tails over the
+    points gives every dimension's total distance at once; it never
+    increases with b, so the fit takes the first b whose total is at most
+    ``budget``.  ``budget`` is keyword-only, so a fixed-dimension call
+    ``best_affine_fit(points, b)`` is refused.
 
     Returns
     -------
-    b : int
+    fit : AffineSubspace
+        The centroid plus the top b principal directions.
     totals : ndarray, shape (d + 1,)
         Summed distance of the points to the b-dimensional fit, for
         b = 0..d; entries from b = min(k, d) on are 0 for k points.
@@ -154,10 +142,13 @@ def min_fit_dim(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("expected at least one point")
+    if not budget >= 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     d = pts.shape[1]
-    u, s, _ = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)
+    centroid = pts.mean(axis=0)
+    u, s, vt = np.linalg.svd(pts - centroid, full_matrices=False)
     tails = np.cumsum(((u * s) ** 2)[:, ::-1], axis=1)[:, ::-1]
     totals = np.zeros(d + 1)
     totals[: s.size] = np.sqrt(tails).sum(axis=0)
-    b = min(int(np.count_nonzero(totals > budget)), d)
-    return b, totals
+    b = int(np.count_nonzero(totals > budget))
+    return AffineSubspace(d, centroid, vt[:b].copy()), totals

@@ -24,14 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import BooleanFormula, BooleanSystem, evaluate, truth_table
+from .formula import BooleanFormula, truth_table
 
 __all__ = [
     "btoi",
     "itob",
     "unit_vector",
     "boolean_matricization",
-    "chi0",
 ]
 
 
@@ -72,15 +71,3 @@ def boolean_matricization(f: BooleanFormula, m: int) -> np.ndarray:
     values = np.array(truth_table(f, m), dtype=float)
     return np.stack([1.0 - values, values])
 
-
-def chi0(system: BooleanSystem) -> int:
-    """Number of distinct output tuples (f_1(x), ..., f_n(x)) over all x.
-
-    Always between 1 and min(2^m, 2^n); bounds the rank of the stacked
-    lifted system and lets the exact solver run fewer randomized rounds.
-    """
-    images = {
-        tuple(evaluate(f, itob(i, system.m)) for f, _ in system.equations)
-        for i in range(1, 2**system.m + 1)
-    }
-    return len(images)

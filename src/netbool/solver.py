@@ -9,7 +9,7 @@ Four entry points:
 * ``solve_approximate`` - consensus truncated to T rounds per run, all
   runs stepped as one batch; each node fits a minimal-dimension affine
   subspace to its own approximate solutions under an exponential error
-  budget, then searches that;
+  budget, from one thin SVD, then searches that;
 * ``verify_satisfiability`` - decide satisfiability with no prior
   knowledge: disagreeing consensus limits expose an inconsistent lifted
   system, an empty search result exposes Boolean unsatisfiability;
@@ -39,8 +39,7 @@ from .linalg import (
     LocalLinearEquation,
     affine_from_points,
     best_affine_fit,
-    dist_to_affine,
-    min_fit_dim,
+    dist_to_affine,  # noqa: F401  unused; perfbench/tracing.py wraps this name
 )
 from .matricization import boolean_matricization, itob, unit_vector
 from .network import Graph, build_weights, consensus, run_to_convergence
@@ -60,6 +59,13 @@ __all__ = [
 
 Assignment = tuple[int, ...]
 
+# per-round sup-norm state change below which a convergent consensus run
+# stops (``max_rounds`` caps it otherwise)
+CONSENSUS_TOL = 1e-10
+# gap between a node's consensus limit and the network average above which
+# satisfiability verification calls the lifted system inconsistent
+DISAGREEMENT_TOL = 1e-6
+
 
 @dataclass
 class RunConfig:
@@ -70,7 +76,9 @@ class RunConfig:
     when the image cardinality of the system is supplied as prior
     knowledge.  ``T``, the truncated mode's rounds per run, is refused by
     the other modes; that mode's residual-bound constants c* and gamma*
-    are not fields, ``solve_approximate`` computes them.
+    are not fields, ``solve_approximate`` computes them.  The consensus
+    stop and the disagreement threshold are the module constants
+    ``CONSENSUS_TOL`` and ``DISAGREEMENT_TOL``.
     """
 
     epsilon: float | None = None
@@ -79,9 +87,7 @@ class RunConfig:
     T: int | None = None
     tol: float = 1e-6
     seed: int = 0
-    consensus_tol: float = 1e-10
     max_rounds: int = 5000
-    disagreement_tol: float = 1e-6
 
     def effective_epsilon(self, n: int) -> float:
         return self.epsilon if self.epsilon is not None else 0.9 / n
@@ -136,7 +142,7 @@ def distributed_lae(
     runs as (k, n, d) that step together.
 
     With ``config.T`` unset, ``run_to_convergence`` iterates one run until
-    the per-round state change drops below ``consensus_tol`` (or
+    the per-round state change drops below ``CONSENSUS_TOL`` (or
     ``max_rounds``); with ``T`` set, exactly T rounds of ``consensus`` run.
     Returns (final states, shaped and C-contiguous like ``initials``, the
     rounds summed over the runs, converged).
@@ -144,7 +150,7 @@ def distributed_lae(
     w = build_weights(graph, config.effective_epsilon(graph.n))
     if config.T is None:
         return run_to_convergence(
-            w, initials, eqs, config.consensus_tol, config.max_rounds
+            w, initials, eqs, CONSENSUS_TOL, config.max_rounds
         )
     states = initials
     for states in islice(consensus(w, initials, eqs), config.T):
@@ -295,17 +301,14 @@ def solve_approximate(
     all of them stop after T rounds, they step together as one batched
     ``distributed_lae`` pass of T rounds.
 
-    The fitted dimension is read off one SVD per node: the best fits are
-    nested principal subspaces, so ``min_fit_dim`` gets every dimension's
-    summed distance from the tails of the centred points' principal
-    coordinates and picks the first within budget.  That pick is then
-    confirmed directly, with ``best_affine_fit`` and ``dist_to_affine``,
-    and raised only while the direct total is over budget.  The
-    diagnostics' ``fit_margins`` give, per node, the SVD-tail total over
-    the budget at the chosen dimension b and at b - 1 (None when b = 0).
+    Each node's fit is one ``best_affine_fit`` call, one thin SVD: the
+    best fits are nested principal subspaces, so every dimension's summed
+    distance comes from the tails of the centred points' principal
+    coordinates, and the fit is the first dimension b within budget.  The
+    diagnostics' ``fit_margins`` give, per node, that total over the
+    budget at b and at b - 1 (None when b = 0).
     """
     eqs, k, linear, rounds, _ = _linear_stage(system, graph, config, True)
-    d = 2**system.m
     c_star = 2.0 ** (system.m / 2) * graph.n
     gamma_star = estimate_contraction_rate(eqs, graph, config)
     # distance budget of the dimension fit; floored at tol so that very
@@ -320,16 +323,9 @@ def solve_approximate(
     fits: list[AffineSubspace] = []
     fit_margins: list[list[float | None]] = []
     for i in range(graph.n):
-        points = linear[:, i]
-        b, totals = min_fit_dim(points, budget)
-        # confirm the pick with the direct distances that define the fit
-        # decision; the SVD tails differ from them only by rounding
-        for b in range(b, d + 1):
-            candidate = best_affine_fit(points, b)
-            total = sum(dist_to_affine(p, candidate) for p in points)
-            if total <= budget:
-                break
-        fits.append(candidate)
+        fit, totals = best_affine_fit(linear[:, i], budget=budget)
+        b = fit.dim
+        fits.append(fit)
         fit_margins.append(
             [totals[b] / budget, totals[b - 1] / budget if b > 0 else None]
         )
@@ -360,7 +356,7 @@ def verify_satisfiability(
 
     Stage one runs projection consensus from random initials to per-node
     limits and averages those limits over the network; a node whose limit
-    differs from the average beyond ``disagreement_tol`` exposes an
+    differs from the average beyond ``DISAGREEMENT_TOL`` exposes an
     inconsistent lifted linear system, so the verdict is unsatisfiable.
     When all limits agree, stage two runs the full solve pipeline and
     returns unsatisfiable exactly when the search finds no solutions.
@@ -376,14 +372,14 @@ def verify_satisfiability(
     # stage one: per-node projection-consensus limits
     initials = rng.random((graph.n, d))
     limits, limit_rounds, limits_converged = run_to_convergence(
-        w, initials, eqs, config.consensus_tol, config.max_rounds
+        w, initials, eqs, CONSENSUS_TOL, config.max_rounds
     )
     # average the limits over the network itself
     averaged, avg_rounds, avg_converged = run_to_convergence(
-        w, limits, None, config.consensus_tol, config.max_rounds
+        w, limits, None, CONSENSUS_TOL, config.max_rounds
     )
     node_gaps = np.abs(averaged - limits).max(axis=1)
-    node_flags = node_gaps > config.disagreement_tol
+    node_flags = node_gaps > DISAGREEMENT_TOL
     diagnostics = {
         "limit_rounds": limit_rounds,
         "limits_converged": limits_converged,

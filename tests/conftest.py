@@ -2,8 +2,8 @@
 sample data, seeded random generators for systems, formulas, graphs, and
 the centralised references that tests compare the distributed solvers
 against (single-vector projection, echelon rank, stacked equations,
-consensus value, stacked-rank consistency, unit-vector search,
-truncated-mode dimension scan)."""
+consensus value, stacked-rank consistency, image cardinality, unit-vector
+search, fixed-dimension fit and the truncated-mode dimension scan)."""
 
 from __future__ import annotations
 
@@ -14,14 +14,24 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from netbool.formula import And, BooleanSystem, Const, Iff, Implies, Not, Or, Var
+from netbool.formula import (
+    And,
+    BooleanSystem,
+    Const,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    Var,
+    evaluate,
+)
 from netbool.linalg import (
     DEFAULT_RELATIVE_PIVOT,
     AffineSubspace,
     LocalLinearEquation,
-    best_affine_fit,
     dist_to_affine,
 )
+from netbool.matricization import itob
 from netbool.network import Graph
 
 settings.register_profile(
@@ -129,8 +139,6 @@ def random_satisfiable_system(
     rng: np.random.Generator, m: int, n: int
 ) -> BooleanSystem:
     """System with at least the planted random assignment as a solution."""
-    from netbool.formula import evaluate
-
     target = [int(b) for b in rng.integers(0, 2, size=m)]
     equations = []
     for _ in range(n):
@@ -261,6 +269,21 @@ def stacked_rank_consistent(
     return rank_h == rank_hz
 
 
+def chi0(system: BooleanSystem) -> int:
+    """Number of distinct output tuples (f_1(x), ..., f_n(x)) over all x,
+    by enumeration.
+
+    Always between 1 and min(2^m, 2^n); bounds the rank of the stacked
+    lifted system, and is the prior that ``RunConfig.chi0_prior`` takes
+    to run fewer randomized rounds.
+    """
+    images = {
+        tuple(evaluate(f, itob(i, system.m)) for f, _ in system.equations)
+        for i in range(1, 2**system.m + 1)
+    }
+    return len(images)
+
+
 def boolean_vector_search_bruteforce(points: np.ndarray, tol: float = 1e-6) -> set[int]:
     """Reference unit-vector search, independent of the solver's hull and
     distance identity: the hull is the first point plus a QR basis of the
@@ -278,12 +301,29 @@ def boolean_vector_search_bruteforce(points: np.ndarray, tol: float = 1e-6) -> s
 # --- reference of the truncated-mode fit --------------------------------
 
 
+def fixed_dim_fit(points: np.ndarray, target_dim: int) -> AffineSubspace:
+    """Affine subspace of the given dimension minimizing the sum of squared
+    distances to the points: the centroid plus the top principal directions
+    of the centred point matrix, from a full SVD."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError("expected at least one point")
+    d = pts.shape[1]
+    if not 0 <= target_dim <= d:
+        raise ValueError(f"target dimension {target_dim} out of range 0..{d}")
+    centroid = pts.mean(axis=0)
+    if target_dim == 0:
+        return AffineSubspace(d, centroid, np.zeros((0, d)))
+    _, _, vt = np.linalg.svd(pts - centroid, full_matrices=True)
+    return AffineSubspace(d, centroid, vt[:target_dim].copy())
+
+
 def scan_fit_dim(points: np.ndarray, budget: float) -> int:
-    """First b whose best_affine_fit keeps the summed direct distance to
+    """First b whose ``fixed_dim_fit`` keeps the summed direct distance to
     the points within the budget, scanning b = 0, 1, ... (d when none)."""
     d = points.shape[1]
     for b in range(d + 1):
-        fit = best_affine_fit(points, b)
+        fit = fixed_dim_fit(points, b)
         if sum(dist_to_affine(p, fit) for p in points) <= budget:
             return b
     return d

@@ -20,6 +20,7 @@ from conftest import (
     EX3_TEXTS,
     EX4_TEXTS,
     boolean_vector_search_bruteforce,
+    chi0,
     project_affine,
     random_connected_graph,
     random_satisfiable_system,
@@ -28,7 +29,7 @@ from conftest import (
 )
 from netbool.formula import BooleanSystem
 from netbool.linalg import affine_from_points
-from netbool.matricization import boolean_matricization, chi0
+from netbool.matricization import boolean_matricization
 from netbool.network import Graph, build_weights, consensus, run_to_convergence
 from netbool.search import boolean_vector_search
 from netbool.solver import (

@@ -5,6 +5,7 @@ from conftest import (
     EX1_MATRICES,
     EX1_SAMPLE_OUTPUTS,
     EX2_MATRICES,
+    fixed_dim_fit,
     project_affine,
     rank_and_echelon,
     scan_fit_dim,
@@ -16,7 +17,6 @@ from netbool.linalg import (
     affine_from_points,
     best_affine_fit,
     dist_to_affine,
-    min_fit_dim,
 )
 
 
@@ -257,10 +257,14 @@ class TestDistToAffine:
 
 
 class TestBestAffineFit:
+    """The subspace ``best_affine_fit`` returns, against the full-SVD
+    fixed-dimension reference ``fixed_dim_fit``."""
+
     def test_collinear_points(self):
         t = np.linspace(-2, 3, 7)
         pts = np.outer(t, [1.0, 2.0, -1.0]) + np.array([5.0, 0.0, 1.0])
-        fit = best_affine_fit(pts, 1)
+        fit, _ = best_affine_fit(pts, budget=1e-6)
+        assert fit.dim == 1
         assert sum(dist_to_affine(p, fit) for p in pts) < 1e-9
 
     def test_noisy_plane(self):
@@ -270,14 +274,16 @@ class TestBestAffineFit:
         coords = rng.normal(size=(25, 2))
         noise = 1e-3 * rng.normal(size=(25, 6))
         pts = offset + coords @ basis + noise
-        fit = best_affine_fit(pts, 2)
+        fit, _ = best_affine_fit(pts, budget=np.linalg.norm(noise, axis=1).sum())
+        assert fit.dim == 2
         total = sum(dist_to_affine(p, fit) for p in pts)
         assert total <= np.linalg.norm(noise, axis=1).sum()
 
     def test_full_dimension_is_exact(self):
         rng = np.random.default_rng(32)
         pts = rng.normal(size=(4, 3))
-        fit = best_affine_fit(pts, 3)
+        fit, _ = best_affine_fit(pts, budget=0.0)
+        assert fit.dim == 3
         assert all(dist_to_affine(p, fit) < 1e-9 for p in pts)
 
     def test_matches_affine_hull_at_true_rank(self):
@@ -285,7 +291,8 @@ class TestBestAffineFit:
         basis = rng.normal(size=(3, 8))
         pts = rng.normal(size=(12, 3)) @ basis + rng.normal(size=8)
         hull = affine_from_points(pts)
-        fit = best_affine_fit(pts, hull.dim)
+        fit, _ = best_affine_fit(pts, budget=1e-6)
+        assert fit.dim == hull.dim
         # the two subspaces coincide: each basis direction of one is inside
         # the other (as points through the respective offsets)
         for v in fit.basis:
@@ -294,15 +301,20 @@ class TestBestAffineFit:
             assert dist_to_affine(hull.offset + v, fit) < 1e-8
 
     def test_target_dim_validation(self):
-        with pytest.raises(ValueError):
+        # the budget is keyword-only: a fixed-dimension call is refused
+        with pytest.raises(TypeError):
             best_affine_fit(np.zeros((2, 3)), 4)
+        with pytest.raises(ValueError, match="budget"):
+            best_affine_fit(np.zeros((2, 3)), budget=-1.0)
 
     def test_least_squares_optimality_vs_random_fits(self):
         # no competitor subspace of equal dimension beats the fit on the
         # sum of squared distances
         rng = np.random.default_rng(34)
         pts = rng.normal(size=(10, 5))
-        fit = best_affine_fit(pts, 2)
+        _, totals = best_affine_fit(pts, budget=0.0)
+        fit, _ = best_affine_fit(pts, budget=totals[2])
+        assert fit.dim == 2
         best = sum(dist_to_affine(p, fit) ** 2 for p in pts)
         for _ in range(25):
             q = np.linalg.qr(rng.normal(size=(5, 2)))[0].T
@@ -310,29 +322,47 @@ class TestBestAffineFit:
             rival_cost = sum(dist_to_affine(p, rival) ** 2 for p in pts)
             assert best <= rival_cost + 1e-12
 
+    def test_is_the_reference_fit_at_the_chosen_dim(self):
+        # the thin SVD's leading rows span the full SVD's fit, and the
+        # direct distances sum to the tail total, so stepping b up to
+        # confirm the pick directly never changes it
+        for k, d, seed in [(12, 5, 41), (6, 10, 42), (30, 9, 43)]:
+            pts = np.random.default_rng(seed).normal(size=(k, d))
+            _, totals = best_affine_fit(pts, budget=0.0)
+            for budget in totals[0] * np.array([1.5, 0.9, 0.5, 0.2, 0.05, 0.01]):
+                fit, _ = best_affine_fit(pts, budget=budget)
+                ref = fixed_dim_fit(pts, fit.dim)
+                assert np.array_equal(fit.offset, ref.offset)
+                projector = fit.basis.T @ fit.basis
+                assert np.abs(projector - ref.basis.T @ ref.basis).max() < 1e-10
+                direct = sum(dist_to_affine(p, fit) for p in pts)
+                assert abs(direct - totals[fit.dim]) < 1e-9
 
 def direct_totals(points):
     d = points.shape[1]
     return np.array([
-        sum(dist_to_affine(p, best_affine_fit(points, b)) for p in points)
+        sum(dist_to_affine(p, fixed_dim_fit(points, b)) for p in points)
         for b in range(d + 1)
     ])
 
 
 class TestMinFitDim:
+    """The minimal dimension ``best_affine_fit`` picks, and the summed
+    distances it reads off the SVD tails, against the direct scan."""
+
     @pytest.mark.parametrize("k,d,seed", [(12, 5, 41), (6, 10, 42), (30, 9, 43)])
     def test_equals_scan_on_random_clouds(self, k, d, seed):
         pts = np.random.default_rng(seed).normal(size=(k, d))
         totals = direct_totals(pts)
         for frac in (1.5, 0.9, 0.5, 0.2, 0.05, 0.01):
             budget = frac * totals[0]
-            b, tails = min_fit_dim(pts, budget)
-            assert b == scan_fit_dim(pts, budget)
+            fit, tails = best_affine_fit(pts, budget=budget)
+            assert fit.dim == scan_fit_dim(pts, budget)
             assert np.allclose(tails, totals, rtol=1e-9, atol=1e-9)
 
     def test_totals_never_increase(self):
         pts = np.random.default_rng(44).normal(size=(9, 14))
-        _, totals = min_fit_dim(pts, 1.0)
+        _, totals = best_affine_fit(pts, budget=1.0)
         assert totals.shape == (15,)
         assert np.all(np.diff(totals) <= 0)
         # 9 centred points span 8 directions
@@ -340,30 +370,30 @@ class TestMinFitDim:
 
     def test_equal_points_pick_zero(self):
         pts = np.tile(np.arange(6.0), (5, 1))
-        b, totals = min_fit_dim(pts, 1e-6)
-        assert b == 0 == scan_fit_dim(pts, 1e-6)
+        fit, totals = best_affine_fit(pts, budget=1e-6)
+        assert fit.dim == 0 == scan_fit_dim(pts, 1e-6)
         assert np.all(totals == 0)
 
     def test_exact_low_dimensional_subspace(self):
         rng = np.random.default_rng(45)
         pts = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 10)) + rng.normal(size=10)
-        b, _ = min_fit_dim(pts, 1e-6)
-        assert b == 3 == scan_fit_dim(pts, 1e-6)
+        fit, _ = best_affine_fit(pts, budget=1e-6)
+        assert fit.dim == 3 == scan_fit_dim(pts, 1e-6)
 
     @pytest.mark.parametrize("k,d", [(7, 12), (15, 6)])
     def test_budget_at_tol_floor(self, k, d):
         # a generic cloud needs every direction its centred points span
         pts = np.random.default_rng(46 + k).normal(size=(k, d))
-        b, _ = min_fit_dim(pts, 1e-6)
-        assert b == min(k - 1, d) == scan_fit_dim(pts, 1e-6)
+        fit, _ = best_affine_fit(pts, budget=1e-6)
+        assert fit.dim == min(k - 1, d) == scan_fit_dim(pts, 1e-6)
 
     def test_single_point(self):
-        b, totals = min_fit_dim(np.ones((1, 4)), 1e-6)
-        assert b == 0 and totals.shape == (5,)
+        fit, totals = best_affine_fit(np.ones((1, 4)), budget=1e-6)
+        assert fit.dim == 0 and totals.shape == (5,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            min_fit_dim(np.zeros(3), 1.0)
+            best_affine_fit(np.zeros(3), budget=1.0)
 
 
 class TestStackEquations:

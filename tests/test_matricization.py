@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import EX1_MATRICES, EX2_MATRICES, formula_strategy
+from conftest import EX1_MATRICES, EX2_MATRICES, chi0, formula_strategy
 from netbool.formula import BooleanSystem, Const, Not, Or, Var, evaluate, parse_formula
-from netbool.matricization import boolean_matricization, btoi, chi0, itob, unit_vector
+from netbool.matricization import boolean_matricization, btoi, itob, unit_vector
 
 
 class TestIndexMaps:

@@ -243,7 +243,9 @@ class TestCliHorizon:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["c_star", "gamma_star"])
+    @pytest.mark.parametrize(
+        "key", ["c_star", "gamma_star", "consensus_tol", "disagreement_tol"]
+    )
     def test_bound_constants_in_problem_file_refused(self, tmp_path, key, capsys):
         path = tmp_path / "bound.json"
         path.write_text(json.dumps(dict(EX1_DOC, config={key: 0.1})))
@@ -272,8 +274,7 @@ def test_option_surface():
         "trace": ["--seed", "--epsilon", "--output", "--rounds"],
     }
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
-        "epsilon", "k_star", "chi0_prior", "T", "tol",
-        "seed", "consensus_tol", "max_rounds", "disagreement_tol",
+        "epsilon", "k_star", "chi0_prior", "T", "tol", "seed", "max_rounds",
     ]
 
 

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     EX2_MATRICES,
     central_projected_average,
+    chi0,
     project_affine,
     random_connected_graph,
     random_satisfiable_system,
@@ -18,7 +19,6 @@ from conftest import (
 )
 from netbool.formula import BooleanSystem, Const, parse_formula
 from netbool.linalg import affine_from_points
-from netbool.matricization import chi0
 from netbool import solver
 from netbool.network import Graph
 from netbool.solver import (
@@ -268,6 +268,19 @@ class TestSolveApproximate:
         assert failures[400] <= failures[25]
         assert failures[400] == 0
 
+    def test_one_svd_per_node(self, ex1, path3, monkeypatch):
+        # the fit picks its dimension and its basis from one thin SVD
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(kwargs.get("full_matrices", True))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        solve_approximate(ex1, path3, RunConfig(seed=7, T=50))
+        assert calls == [False] * path3.n
+
     def test_calibrated_rate_is_positive(self, ex1, path3):
         rate = estimate_contraction_rate(lift_system(ex1), path3, RunConfig(seed=0))
         assert 0.001 <= rate < 1.0
@@ -433,7 +446,9 @@ class TestTracerContract:
             solver.verify_satisfiability(ex1, path3, RunConfig(seed=1))
         finally:
             tracer.uninstall(solver)
-        assert {s.name for s in tracer.spans} == {name for name, _ in tracing._WRAPPED.values()}
+        # dist_to_affine stays wrapped, but no solver calls it any more
+        expected = {name for name, _ in tracing._WRAPPED.values()} - {"linalg.dist"}
+        assert {s.name for s in tracer.spans} == expected
         lae = [s for s in tracer.spans if s.name == "network.lae"]
         assert lae and all(s.counters["n"] == 3 for s in lae)
 
