@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from itertools import chain, islice
@@ -69,7 +70,6 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     _add_consensus(p)
     p.add_argument("--k-star", type=int, default=None, dest="k_star")
     p.add_argument("--chi0-prior", type=int, default=None, dest="chi0_prior")
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
 
 
@@ -101,11 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(problem: ProblemFile, args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("seed", "epsilon", "k_star", "chi0_prior", "T", "tol", "max_rounds")
-    }
-    return merge_config(problem, overrides)
+    fields = dataclasses.fields(RunConfig)
+    return merge_config(problem, {f.name: getattr(args, f.name, None) for f in fields})
 
 
 def _bits(assignment: Sequence[int]) -> str:

@@ -144,6 +144,7 @@ def consensus(
     k, d = (x.shape[0], x.shape[2]) if batched else (1, x.shape[1])
     if batched:
         x = x.transpose(1, 2, 0).reshape(n, d * k)  # a C-contiguous copy
+    del states  # the rounds read only x: the caller's initials can go
     while True:
         x = w @ x
         y = x.reshape(n, d, k)

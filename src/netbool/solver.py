@@ -65,6 +65,8 @@ CONSENSUS_TOL = 1e-10
 # gap between a node's consensus limit and the network average above which
 # satisfiability verification calls the lifted system inconsistent
 DISAGREEMENT_TOL = 1e-6
+# exact hulls' rank threshold; also floors the truncated fit's budget and slack
+RANK_TOL = 1e-6
 
 
 @dataclass
@@ -76,16 +78,14 @@ class RunConfig:
     when the image cardinality of the system is supplied as prior
     knowledge.  ``T``, the truncated mode's rounds per run, is refused by
     the other modes; that mode's residual-bound constants c* and gamma*
-    are not fields, ``solve_approximate`` computes them.  The consensus
-    stop and the disagreement threshold are the module constants
-    ``CONSENSUS_TOL`` and ``DISAGREEMENT_TOL``.
+    are not fields, ``solve_approximate`` computes them.  The other
+    thresholds are module constants or, for the search, come from the lift.
     """
 
     epsilon: float | None = None
     k_star: int | None = None
     chi0_prior: int | None = None
     T: int | None = None
-    tol: float = 1e-6
     seed: int = 0
     max_rounds: int = 5000
 
@@ -152,10 +152,11 @@ def distributed_lae(
         return run_to_convergence(
             w, initials, eqs, CONSENSUS_TOL, config.max_rounds
         )
-    states = initials
-    for states in islice(consensus(w, initials, eqs), config.T):
-        pass
     runs = len(initials) if np.ndim(initials) == 3 else 1
+    states = initials
+    del initials  # the first round rebinds ``states``, and the initials go
+    for states in islice(consensus(w, states, eqs), config.T):
+        pass
     return np.ascontiguousarray(states), runs * config.T, True
 
 
@@ -187,12 +188,13 @@ def _linear_stage(
     (k*, n, 2^m), per-run rounds, whether every run converged)."""
     k = _check_inputs(system, graph, config, truncated)
     eqs = lift_system(system)
-    initials = np.random.default_rng(config.seed).random((k, graph.n, 2**system.m))
+    rng = np.random.default_rng(config.seed)
+    shape = (k, graph.n, 2**system.m)
     if truncated:
-        states, _, _ = distributed_lae(eqs, graph, config, initials)
+        states, _, _ = distributed_lae(eqs, graph, config, rng.random(shape))
         return eqs, k, states, [config.T] * k, True
     states, rounds, converged = zip(
-        *(distributed_lae(eqs, graph, config, x) for x in initials)
+        *(distributed_lae(eqs, graph, config, x) for x in rng.random(shape))
     )
     return eqs, k, np.stack(states), list(rounds), all(converged)
 
@@ -237,16 +239,18 @@ def solve_exact(
 
     Runs k* independent consensus solves of the lifted linear equation
     to convergence (``T`` is refused) from uniform random initial states;
-    each node searches the affine hull of its own outputs for unit vectors
-    and maps them back to assignments, with no check against the system.
+    each node keeps the unit vectors within sqrt(RANK_TOL * 2/sqrt(d)),
+    d = 2^m, of the affine hull of its own outputs, with no check against
+    the system: on a consistent lift solutions lie within RANK_TOL of
+    every hull, and the lift puts every non-solution 2/sqrt(d) or more away.
     """
     config = config or RunConfig()
     _, k, linear, rounds, converged = _linear_stage(system, graph, config, False)
-    hulls = [affine_from_points(linear[:, i], config.tol) for i in range(graph.n)]
+    hulls = [affine_from_points(linear[:, i], RANK_TOL) for i in range(graph.n)]
     return _search_outcome(
         "solve",
         hulls,
-        config.tol,
+        math.sqrt(RANK_TOL * 2.0 / math.sqrt(2**system.m)),
         system.m,
         linear,
         {"k_star": k, "rounds": rounds, "converged": converged},
@@ -311,14 +315,12 @@ def solve_approximate(
     eqs, k, linear, rounds, _ = _linear_stage(system, graph, config, True)
     c_star = 2.0 ** (system.m / 2) * graph.n
     gamma_star = estimate_contraction_rate(eqs, graph, config)
-    # distance budget of the dimension fit; floored at tol so that very
-    # large T degenerates to the exact-mode behavior instead of to an
-    # unattainable zero budget
-    budget = max(c_star * math.exp(-gamma_star * config.T) * k, config.tol)
+    # distance budget of the dimension fit, floored at RANK_TOL for huge T
+    budget = max(c_star * math.exp(-gamma_star * config.T) * k, RANK_TOL)
     # membership slack for unit vectors against the fitted subspace: the
-    # per-run residual scale, floored at the configured tolerance and kept
-    # below the scale at which unit vectors stop being distinguishable
-    member_tol = min(max(config.tol, budget / k), 0.25)
+    # per-run residual scale, floored at RANK_TOL and kept below the scale
+    # at which unit vectors stop being distinguishable
+    member_tol = min(max(RANK_TOL, budget / k), 0.25)
 
     fits: list[AffineSubspace] = []
     fit_margins: list[list[float | None]] = []

@@ -226,6 +226,9 @@ class TestCliHorizon:
         [
             ("solve-approx", "--c-star"),
             ("solve-approx", "--gamma-star"),
+            ("solve", "--tol"),
+            ("solve-approx", "--tol"),
+            ("sat", "--tol"),
             ("trace", "--k-star"),
             ("trace", "--chi0-prior"),
             ("trace", "--tol"),
@@ -244,7 +247,7 @@ class TestCliHorizon:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key", ["c_star", "gamma_star", "consensus_tol", "disagreement_tol"]
+        "key", ["c_star", "gamma_star", "consensus_tol", "disagreement_tol", "tol"]
     )
     def test_bound_constants_in_problem_file_refused(self, tmp_path, key, capsys):
         path = tmp_path / "bound.json"
@@ -265,7 +268,7 @@ def test_option_surface():
         name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
         for name, p in sub.choices.items()
     }
-    solver = ["--seed", "--epsilon", "--output", "--k-star", "--chi0-prior", "--tol", "--max-rounds"]
+    solver = ["--seed", "--epsilon", "--output", "--k-star", "--chi0-prior", "--max-rounds"]
     assert options == {
         "solve": solver + ["--verify"],
         "solve-approx": solver + ["--T"],
@@ -274,7 +277,7 @@ def test_option_surface():
         "trace": ["--seed", "--epsilon", "--output", "--rounds"],
     }
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
-        "epsilon", "k_star", "chi0_prior", "T", "tol", "seed", "max_rounds",
+        "epsilon", "k_star", "chi0_prior", "T", "seed", "max_rounds",
     ]
 
 

@@ -1,5 +1,7 @@
 import importlib
 import inspect
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ from conftest import (
     stacked_rank_consistent,
 )
 from netbool.formula import BooleanSystem, Const, parse_formula
-from netbool.linalg import affine_from_points
+from netbool.linalg import affine_from_points, dist_to_affine
+from netbool.matricization import itob
 from netbool import solver
 from netbool.network import Graph
 from netbool.solver import (
@@ -126,6 +129,20 @@ class TestDistributedLAE:
         for run, start in zip(states, initials):
             single, _, _ = distributed_lae(eqs, path3, config, start)
             assert np.abs(run - single).max() < 1e-12
+
+    def test_truncated_pass_lets_the_initials_go(self):
+        # a T-round pass holds the previous round's states, the new ones and
+        # the projection correction; keeping the initials would make a fourth
+        system = random_satisfiable_system(np.random.default_rng(0), 6, 3)
+        config = RunConfig(seed=1, T=5)
+        solver._linear_stage(system, Graph.path(3), config, True)  # warm caches
+        tracemalloc.start()
+        try:
+            _, _, states, _, _ = solver._linear_stage(system, Graph.path(3), config, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * states.nbytes
 
     def test_convergent_runs_refuse_a_batch(self, ex1, path3):
         initials = np.random.default_rng(6).random((4, 3, 8))
@@ -246,10 +263,10 @@ class TestSolveApproximate:
 
     def test_huge_horizon_degenerates_to_exact(self, ex1, path3):
         # residuals reach the floating-point floor long before 5000 rounds;
-        # the distance budget collapses to the plain tolerance and the
-        # answer is the exact one
+        # the distance budget collapses to its floor, the exact hull's rank
+        # threshold, and the answer is the exact one
         outcome = solve_approximate(ex1, path3, RunConfig(seed=6, T=5000))
-        assert outcome.diagnostics["budget"] == RunConfig().tol
+        assert outcome.diagnostics["budget"] == solver.RANK_TOL
         exact = solve_exact(ex1, path3, RunConfig(seed=6))
         assert set(outcome.solutions) == set(exact.solutions)
 
@@ -338,6 +355,69 @@ class TestVerifySatisfiability:
     def test_rank_consistency_helper(self, ex1, ex3):
         assert stacked_rank_consistent(lift_system(ex1))
         assert not stacked_rank_consistent(lift_system(ex3))
+
+    @pytest.mark.parametrize("epsilon", [None, 0.2])
+    def test_stage_one_disagreement_gap(self, ex1, ex3, ex4, path3, epsilon):
+        # consistent lifts (ex1, ex4) agree to about 1e-9, an inconsistent
+        # one (ex3) disagrees by about 1e-1 on every node: both sides keep
+        # two decades of room to DISAGREEMENT_TOL
+        for seed in range(3):
+            config = RunConfig(seed=seed, epsilon=epsilon)
+            for system in (ex1, ex4):
+                gaps = verify_satisfiability(system, path3, config).diagnostics["node_gaps"]
+                assert max(gaps) <= solver.DISAGREEMENT_TOL / 100
+            gaps = verify_satisfiability(ex3, path3, config).diagnostics["node_gaps"]
+            assert min(gaps) >= 100 * solver.DISAGREEMENT_TOL
+
+
+class TestSearchThreshold:
+    """The exact modes search each node's hull at the geometric mean of
+    RANK_TOL, above the solutions' consensus error, and 2/sqrt(2^m): a unit
+    vector failing an equation whose output classes have sizes a + b = 2^m
+    lies sqrt(1/a + 1/b) >= 2/sqrt(2^m) from that equation's solution set,
+    which holds every hull of a consistent lift."""
+
+    @pytest.fixture
+    def thresholds(self, monkeypatch):
+        seen = []
+        search = solver.boolean_vector_search
+
+        def spy(hull, tol):
+            seen.append(tol)
+            return search(hull, tol)
+
+        monkeypatch.setattr(solver, "boolean_vector_search", spy)
+        return seen
+
+    @pytest.mark.parametrize("solve", [solve_exact, verify_satisfiability])
+    def test_threshold_from_the_lift(self, ex1, path3, solve, thresholds):
+        assert solve(ex1, path3, RunConfig(seed=1)).solutions
+        assert thresholds == [pytest.approx(math.sqrt(solver.RANK_TOL / math.sqrt(2)))] * 3
+        thresholds.clear()
+        system = random_satisfiable_system(np.random.default_rng(4), 4, 3)
+        assert solve(system, path3, RunConfig(seed=1)).solutions
+        assert thresholds == [pytest.approx(math.sqrt(solver.RANK_TOL / 2))] * 3
+
+    def test_hulls_keep_the_gap(self):
+        # solutions sit within the hull's rank threshold; non-solutions sit
+        # at the proven 2/sqrt(d) or beyond, less the consensus error that
+        # the hull carries on both sides (measured up to 2.4e-8 below)
+        rng = np.random.default_rng(2026)
+        for trial in range(6):
+            m, n = 3 + trial % 3, int(rng.integers(3, 6))
+            system = random_satisfiable_system(rng, m, n)
+            graph = random_connected_graph(rng, n)
+            outcome = solve_exact(system, graph, RunConfig(seed=trial))
+            assert outcome.diagnostics["converged"]
+            d = 2**m
+            for i in range(n):
+                hull = affine_from_points(outcome.linear_solutions[:, i], solver.RANK_TOL)
+                for j, x in enumerate(np.eye(d)):
+                    dist = dist_to_affine(x, hull)
+                    if system.satisfies(itob(j + 1, m)):
+                        assert dist <= solver.RANK_TOL
+                    else:
+                        assert dist >= 2 / math.sqrt(d) - solver.RANK_TOL
 
 
 # sat-mixed benchmark document (workload seed 302, third problem): every
