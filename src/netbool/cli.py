@@ -4,7 +4,7 @@ Subcommands:
 
 * ``solve``        - exact distributed solve (satisfiable systems)
 * ``solve-approx`` - truncated-consensus solve; only it has, and it
-  requires, ``--T``
+  requires, ``--T``, and it has no ``--max-rounds``
 * ``sat``          - distributed satisfiability verification
 * ``oracle``       - centralized exhaustive reference solver
 * ``trace``        - dump the per-round node states of one projection
@@ -65,12 +65,14 @@ def _add_consensus(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", type=str, default=None, help="write the result here instead of stdout")
 
 
-def _add_solver(p: argparse.ArgumentParser) -> None:
-    """Options of the subcommands that solve."""
+def _add_solver(p: argparse.ArgumentParser, capped: bool) -> None:
+    """Options of the subcommands that solve; ``capped``: the subcommand
+    runs consensus to convergence, which ``--max-rounds`` caps."""
     _add_consensus(p)
     p.add_argument("--k-star", type=int, default=None, dest="k_star")
     p.add_argument("--chi0-prior", type=int, default=None, dest="chi0_prior")
-    p.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
+    if capped:
+        p.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,16 +81,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="exact distributed solve")
-    _add_solver(p_solve)
+    _add_solver(p_solve, capped=True)
     p_solve.add_argument("--verify", action="store_true",
                          help="cross-check the solution set against the oracle")
 
     p_approx = sub.add_parser("solve-approx", help="solve with T-round consensus")
-    _add_solver(p_approx)
+    _add_solver(p_approx, capped=False)
     p_approx.add_argument("--T", type=int, default=None, dest="T")
 
     p_sat = sub.add_parser("sat", help="verify satisfiability")
-    _add_solver(p_sat)
+    _add_solver(p_sat, capped=True)
 
     p_oracle = sub.add_parser("oracle", help="centralized brute-force solve")
     p_oracle.add_argument("problem")

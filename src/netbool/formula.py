@@ -109,93 +109,73 @@ def _tokenize(text: str) -> Iterator[tuple[str, int]]:
     yield "", n  # end marker
 
 
+# The binary connectives, loosest first: (token, node class, associativity),
+# read by both the parser and the printer; None (non-associative) refuses chains.
+_BINARY = (
+    ("<->", Iff, None),
+    ("->", Implies, "right"),
+    ("|", Or, "left"),
+    ("&", And, "left"),
+)
+
+
+def _expected(what: str, found: str, pos: int) -> FormulaSyntaxError:
+    shown = repr(found) if found else "end of input"
+    return FormulaSyntaxError(f"expected {what}, found {shown}", pos)
+
+
 class _Parser:
     def __init__(self, text: str, m: int):
-        self.text = text
         self.m = m
         self.tokens = list(_tokenize(text))
         self.i = 0
 
-    @property
-    def current(self) -> tuple[str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> None:
-        self.i += 1
-
     def accept(self, token: str) -> bool:
-        if self.current[0] == token:
-            self.advance()
+        if self.tokens[self.i][0] == token:
+            self.i += 1
             return True
         return False
 
-    def expect(self, token: str) -> None:
-        found, pos = self.current
-        if found != token:
-            shown = repr(found) if found else "end of input"
-            raise FormulaSyntaxError(f"expected {token!r}, found {shown}", pos)
-        self.advance()
-
     def parse(self) -> BooleanFormula:
-        node = self.iff()
-        found, pos = self.current
+        node = self.binary(0)
+        found, pos = self.tokens[self.i]
         if found:
             raise FormulaSyntaxError(f"unexpected trailing token {found!r}", pos)
         return node
 
-    def iff(self) -> BooleanFormula:
-        node = self.impl()
-        if self.accept("<->"):
-            node = Iff(node, self.impl())
-            if self.current[0] == "<->":
-                raise FormulaSyntaxError(
-                    "chained '<->' is ambiguous, parenthesize", self.current[1]
-                )
-        return node
-
-    def impl(self) -> BooleanFormula:
-        node = self.or_()
-        if self.accept("->"):
-            return Implies(node, self.impl())  # right-associative
-        return node
-
-    def or_(self) -> BooleanFormula:
-        node = self.and_()
-        while self.accept("|"):
-            node = Or(node, self.and_())
-        return node
-
-    def and_(self) -> BooleanFormula:
-        node = self.unary()
-        while self.accept("&"):
-            node = And(node, self.unary())
+    def binary(self, level: int) -> BooleanFormula:
+        """The connectives of ``_BINARY[level:]`` and everything tighter."""
+        if level == len(_BINARY):
+            return self.unary()
+        token, node_class, assoc = _BINARY[level]
+        node = self.binary(level + 1)
+        while self.accept(token):
+            if assoc == "right":
+                return node_class(node, self.binary(level))
+            node = node_class(node, self.binary(level + 1))
+            found, pos = self.tokens[self.i]
+            if assoc is None and found == token:
+                raise FormulaSyntaxError(f"chained {token!r} is ambiguous, parenthesize", pos)
         return node
 
     def unary(self) -> BooleanFormula:
-        if self.accept("!") or self.accept("~"):
+        token, pos = self.tokens[self.i]
+        self.i += 1
+        if token in ("!", "~"):
             return Not(self.unary())
-        return self.atom()
-
-    def atom(self) -> BooleanFormula:
-        token, pos = self.current
         if token == "(":
-            self.advance()
-            node = self.iff()
-            self.expect(")")
+            node = self.binary(0)
+            if not self.accept(")"):
+                raise _expected("')'", *self.tokens[self.i])
             return node
         if token in ("0", "1"):
-            self.advance()
             return Const(int(token))
         if token.startswith("x"):
             index = int(token[1:])
             if not 1 <= index <= self.m:
-                raise FormulaSyntaxError(
-                    f"variable x{index} out of range 1..{self.m}", pos
-                )
-            self.advance()
+                raise FormulaSyntaxError(f"variable x{index} out of range 1..{self.m}", pos)
             return Var(index)
-        shown = repr(token) if token else "end of input"
-        raise FormulaSyntaxError(f"expected a variable, constant or '(', found {shown}", pos)
+        raise _expected("a variable, constant or '('", token, pos)
 
 
 def parse_formula(text: str, m: int) -> BooleanFormula:
@@ -252,41 +232,30 @@ def max_var_index(f: BooleanFormula) -> int:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-# Precedence levels used by the printer; parse_formula(format_formula(f), m)
-# reproduces f structurally.
-_LEVEL_IFF, _LEVEL_IMPL, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY = range(5)
-
-
 def format_formula(f: BooleanFormula) -> str:
-    """Render ``f`` in the concrete syntax with minimal parentheses."""
-    return _format(f, _LEVEL_IFF)
+    """Render ``f`` in the concrete syntax with minimal parentheses;
+    ``parse_formula(format_formula(f), m)`` reproduces ``f`` structurally."""
+    return _format(f, 0)
 
 
 def _format(f: BooleanFormula, level: int) -> str:
+    """``f`` as an operand that binds at least as tightly as ``_BINARY[level]``
+    (``level == len(_BINARY)``: the operand of a negation)."""
     match f:
         case Var(index):
             return f"x{index}"
         case Const(value):
             return str(value)
         case Not(child):
-            return "!" + _format(child, _LEVEL_UNARY)
-        case And(left, right):
-            # left-associative: parenthesize a same-operator right child
-            text = f"{_format(left, _LEVEL_AND)} & {_format(right, _LEVEL_AND + 1)}"
-            own = _LEVEL_AND
-        case Or(left, right):
-            text = f"{_format(left, _LEVEL_OR)} | {_format(right, _LEVEL_OR + 1)}"
-            own = _LEVEL_OR
-        case Implies(left, right):
-            # right-associative: the right child may be another implication
-            text = f"{_format(left, _LEVEL_OR)} -> {_format(right, _LEVEL_IMPL)}"
-            own = _LEVEL_IMPL
-        case Iff(left, right):
-            text = f"{_format(left, _LEVEL_IMPL)} <-> {_format(right, _LEVEL_IMPL)}"
-            own = _LEVEL_IFF
-        case _:
-            raise TypeError(f"not a formula node: {f!r}")
-    return f"({text})" if own < level else text
+            return "!" + _format(child, len(_BINARY))
+    for own, (token, node_class, assoc) in enumerate(_BINARY):
+        if type(f) is node_class:
+            # only the side that the connective groups on may repeat it bare
+            left = _format(f.left, own if assoc == "left" else own + 1)
+            right = _format(f.right, own if assoc == "right" else own + 1)
+            text = f"{left} {token} {right}"
+            return f"({text})" if own < level else text
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,10 @@ def load_problem(path: str | Path) -> ProblemFile:
     unknown = set(config) - _CONFIG_KEYS
     if unknown:
         raise ProblemError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key, value in config.items():
+        allowed, kind = ((int, float), "a number") if key == "epsilon" else (int, "an integer")
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ProblemError(f"{path}: config {key!r} must be {kind}, got {value!r}")
 
     problem = ProblemFile(m, tuple(equations), tuple(edges), dict(config))
     # fail fast on formulas and graph structure

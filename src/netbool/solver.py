@@ -163,13 +163,15 @@ def distributed_lae(
 def _check_inputs(
     system: BooleanSystem, graph: Graph, config: RunConfig, truncated: bool
 ) -> int:
-    """One graph node per equation, a horizon ``T`` exactly when the mode
+    """One graph node per equation, a horizon ``T`` >= 1 exactly when the mode
     truncates consensus (``max_rounds`` caps the other modes), and at least
     one consensus run; returns that run count k*."""
     if truncated and config.T is None:
         raise ValueError("solve_approximate requires a finite T in the config")
     if not truncated and config.T is not None:
         raise ValueError("only solve_approximate takes T; max_rounds caps this mode")
+    if truncated and config.T < 1:
+        raise ValueError(f"T must be >= 1, got {config.T}")
     if graph.n != system.n:
         raise ValueError(f"graph has {graph.n} nodes but system has {system.n} equations")
     k = config.effective_k_star(system.m)

@@ -7,6 +7,14 @@ search, fixed-dimension fit and the truncated-mode dimension scan)."""
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads: on a 2-CPU host a second
+# OpenBLAS thread can stall a small thin SVD for tens of milliseconds,
+# enough to break the wall-clock bound of test_cost_growth_stays_within_bound.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from typing import Sequence
 
 import numpy as np

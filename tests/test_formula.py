@@ -83,6 +83,32 @@ class TestParse:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("", 1)
 
+    @pytest.mark.parametrize(
+        "text, m, position, message",
+        [
+            ("", 1, 0, "expected a variable, constant or '(', found end of input"),
+            ("x1 |", 1, 4, "expected a variable, constant or '(', found end of input"),
+            ("x1 <->", 1, 6, "expected a variable, constant or '(', found end of input"),
+            ("!", 1, 1, "expected a variable, constant or '(', found end of input"),
+            ("()", 1, 1, "expected a variable, constant or '(', found ')'"),
+            ("(x1 | x2", 2, 8, "expected ')', found end of input"),
+            ("x1 x2", 2, 3, "unexpected trailing token 'x2'"),
+            (")", 1, 0, "expected a variable, constant or '(', found ')'"),
+            ("x1 <-> x2 <-> x3", 3, 10, "chained '<->' is ambiguous, parenthesize"),
+            ("x1 -> x2 <-> x3 <-> x1", 3, 16, "chained '<->' is ambiguous, parenthesize"),
+            ("(x1 <-> x2) <-> x3 <-> x1", 3, 19, "chained '<->' is ambiguous, parenthesize"),
+            ("x1 | ?", 2, 5, "unexpected character '?'"),
+            ("x1 <- x2", 2, 3, "unexpected character '<'"),
+            ("x0", 1, 0, "variable x0 out of range 1..1"),
+            ("x1 & x4", 3, 5, "variable x4 out of range 1..3"),
+        ],
+    )
+    def test_error_message_and_position(self, text, m, position, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text, m)
+        assert err.value.position == position
+        assert str(err.value) == f"{message} (at position {position})"
+
 
 class TestEvaluate:
     def test_conjunction_with_equivalence(self):
@@ -131,6 +157,44 @@ class TestFormatRoundTrip:
         assert format_formula(f) == "x1 & (x2 | x3)"
         g = parse_formula("(x1 & x2) | x3", 3)
         assert format_formula(g) == "x1 & x2 | x3"
+
+    @pytest.mark.parametrize(
+        "outer, inner, inner_left, inner_right",
+        [
+            (And, And, "x1 & x2 & x3", "x1 & (x2 & x3)"),
+            (And, Or, "(x1 | x2) & x3", "x1 & (x2 | x3)"),
+            (And, Implies, "(x1 -> x2) & x3", "x1 & (x2 -> x3)"),
+            (And, Iff, "(x1 <-> x2) & x3", "x1 & (x2 <-> x3)"),
+            (Or, And, "x1 & x2 | x3", "x1 | x2 & x3"),
+            (Or, Or, "x1 | x2 | x3", "x1 | (x2 | x3)"),
+            (Or, Implies, "(x1 -> x2) | x3", "x1 | (x2 -> x3)"),
+            (Or, Iff, "(x1 <-> x2) | x3", "x1 | (x2 <-> x3)"),
+            (Implies, And, "x1 & x2 -> x3", "x1 -> x2 & x3"),
+            (Implies, Or, "x1 | x2 -> x3", "x1 -> x2 | x3"),
+            (Implies, Implies, "(x1 -> x2) -> x3", "x1 -> x2 -> x3"),
+            (Implies, Iff, "(x1 <-> x2) -> x3", "x1 -> (x2 <-> x3)"),
+            (Iff, And, "x1 & x2 <-> x3", "x1 <-> x2 & x3"),
+            (Iff, Or, "x1 | x2 <-> x3", "x1 <-> x2 | x3"),
+            (Iff, Implies, "x1 -> x2 <-> x3", "x1 <-> x2 -> x3"),
+            (Iff, Iff, "(x1 <-> x2) <-> x3", "x1 <-> (x2 <-> x3)"),
+        ],
+    )
+    def test_pair_parens(self, outer, inner, inner_left, inner_right):
+        x1, x2, x3 = Var(1), Var(2), Var(3)
+        for f, text in [
+            (outer(inner(x1, x2), x3), inner_left),
+            (outer(x1, inner(x2, x3)), inner_right),
+        ]:
+            assert format_formula(f) == text
+            assert parse_formula(text, 3) == f
+
+    @pytest.mark.parametrize(
+        "op, text", [(And, "&"), (Or, "|"), (Implies, "->"), (Iff, "<->")]
+    )
+    def test_negation_parens(self, op, text):
+        x1, x2 = Var(1), Var(2)
+        assert format_formula(Not(op(x1, x2))) == f"!(x1 {text} x2)"
+        assert format_formula(op(Not(x1), Not(x2))) == f"!x1 {text} !x2"
 
 
 def _python_text(f) -> str:

@@ -233,6 +233,7 @@ class TestCliHorizon:
             ("trace", "--chi0-prior"),
             ("trace", "--tol"),
             ("trace", "--max-rounds"),
+            ("solve-approx", "--max-rounds"),
         ],
     )
     def test_unread_flags_refused(self, ex1_path, command, flag, capsys):
@@ -268,11 +269,12 @@ def test_option_surface():
         name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
         for name, p in sub.choices.items()
     }
-    solver = ["--seed", "--epsilon", "--output", "--k-star", "--chi0-prior", "--max-rounds"]
+    solver = ["--seed", "--epsilon", "--output", "--k-star", "--chi0-prior"]
+    capped = solver + ["--max-rounds"]
     assert options == {
-        "solve": solver + ["--verify"],
+        "solve": capped + ["--verify"],
         "solve-approx": solver + ["--T"],
-        "sat": solver,
+        "sat": capped,
         "oracle": ["--output"],
         "trace": ["--seed", "--epsilon", "--output", "--rounds"],
     }
@@ -309,6 +311,45 @@ class TestCliErrors:
 
     def test_bad_flag_value(self, ex1_path, capsys):
         assert main(["solve", ex1_path, "--seed", "not-a-number"]) == 1
+
+    @pytest.mark.parametrize(
+        "key, value, kind",
+        [
+            ("seed", None, "an integer"),
+            ("seed", "abc", "an integer"),
+            ("seed", 7.0, "an integer"),
+            ("seed", True, "an integer"),
+            ("k_star", "3", "an integer"),
+            ("chi0_prior", 1.5, "an integer"),
+            ("max_rounds", None, "an integer"),
+            ("max_rounds", 2.5, "an integer"),
+            ("T", "300", "an integer"),
+            ("epsilon", "0.2", "a number"),
+            ("epsilon", None, "a number"),
+            ("epsilon", False, "a number"),
+        ],
+    )
+    def test_bad_config_value(self, tmp_path, key, value, kind, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(EX1_DOC, config={key: value})))
+        command = ["solve-approx", str(path), "--T", "50"] if key == "T" else ["solve", str(path)]
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"config {key!r} must be {kind}, got {value!r}" in captured.err
+
+    def test_int_epsilon_accepted(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(EX1_DOC, config={"epsilon": 0, "seed": 3, "T": 300})))
+        assert load_problem(path).config == {"epsilon": 0, "seed": 3, "T": 300}
+
+    @pytest.mark.parametrize("T", ["0", "-1"])
+    def test_nonpositive_horizon(self, ex1_path, T, capsys):
+        assert main(["solve-approx", ex1_path, "--T", T]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: T must be >= 1, got {T}\n"
 
 
 def test_module_entry_point(ex1_path):

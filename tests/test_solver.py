@@ -237,6 +237,11 @@ class TestSolveApproximate:
         with pytest.raises(ValueError, match="T"):
             solve_approximate(ex1, path3, RunConfig())
 
+    @pytest.mark.parametrize("T", [0, -1])
+    def test_nonpositive_horizon_refused(self, ex1, path3, T):
+        with pytest.raises(ValueError, match=f"T must be >= 1, got {T}"):
+            solve_approximate(ex1, path3, RunConfig(T=T))
+
     @pytest.mark.parametrize("config", [RunConfig(T=50, k_star=0), RunConfig(T=50, chi0_prior=9)])
     def test_no_runs_refused(self, ex1, path3, config):
         with pytest.raises(ValueError, match="k_star must be >= 1, got 0"):
