@@ -13,11 +13,14 @@ Subcommands:
 
 The result document (JSON), or the trace CSV, goes to stdout (or
 ``--output``).  Exit status: 0 on success, 2 when ``sat`` returns
-unsatisfiable, 1 on input errors.
+unsatisfiable, 3 when the outcome is undecided, 1 on input errors and on a
+``--verify`` mismatch (1 outranks 3, and 3 outranks 2).
 Identical problem files and seeds produce byte-identical documents.
-``solve``, ``solve-approx`` and ``sat`` also print a ``warning:`` line to
-stderr when the nodes' solution sets disagree or a consensus stage hit
-``max_rounds``; the document and exit status do not change.
+An outcome is undecided when the solver lists reasons in its
+``undecided`` field (the nodes' solution sets disagree, a consensus stage
+hit ``max_rounds``); the document carries them as its ``undecided`` list,
+and ``solve``, ``solve-approx`` and ``sat`` print one ``warning:`` line
+per reason to stderr.
 """
 
 from __future__ import annotations
@@ -48,9 +51,16 @@ from .solver import (
 
 __all__ = ["main"]
 
+_SOLVERS = {
+    "solve": solve_exact,
+    "solve-approx": solve_approximate,
+    "sat": verify_satisfiability,
+}
+
 
 class _Parser(argparse.ArgumentParser):
-    # usage errors exit 1; status 2 is reserved for the unsatisfiable verdict
+    # usage errors exit 1; statuses 2 and 3 are the unsatisfiable verdict
+    # and the undecided outcome
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -133,6 +143,7 @@ def _document(problem: ProblemFile, config: RunConfig, outcome: SolveOutcome) ->
         "seed": config.seed,
         "solutions": [_bits(x) for x in outcome.solutions],
         "diagnostics": _json_safe(outcome.diagnostics),
+        "undecided": list(outcome.undecided),
     }
     if outcome.per_node_solutions is not None:
         doc["per_node_solutions"] = [
@@ -142,22 +153,6 @@ def _document(problem: ProblemFile, config: RunConfig, outcome: SolveOutcome) ->
         doc["verdict"] = outcome.verdict
         doc["stage"] = outcome.stage
     return doc
-
-
-def _warn(diagnostics: dict) -> None:
-    """Make the outcome's own failure flags visible on stderr."""
-    if diagnostics.get("nodes_agree") is False:
-        print("warning: nodes disagree (nodes_agree is false)", file=sys.stderr)
-    stalled = [
-        key
-        for key in ("converged", "limits_converged", "average_converged")
-        if diagnostics.get(key) is False
-    ]
-    if stalled:
-        print(
-            f"warning: consensus hit max_rounds ({', '.join(stalled)} false)",
-            file=sys.stderr,
-        )
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -229,32 +224,25 @@ def _dispatch(args: argparse.Namespace) -> int:
         _write_trace(problem, config, args.output, args.rounds)
         return 0
 
-    if args.command == "solve":
-        outcome = solve_exact(system, graph, config)
-        _warn(outcome.diagnostics)
-        doc = _document(problem, config, outcome)
-        if args.verify:
-            expected = {tuple(x) for x in oracle_solve(system)}
-            doc["verify"] = "ok" if set(outcome.solutions) == expected else "mismatch"
-        _emit(doc, args.output)
-        if args.verify and doc["verify"] != "ok":
-            print("error: solution set does not match the oracle", file=sys.stderr)
-            return 1
-        return 0
-
-    if args.command == "solve-approx":
-        outcome = solve_approximate(system, graph, config)
-        _warn(outcome.diagnostics)
-        _emit(_document(problem, config, outcome), args.output)
-        return 0
-
-    if args.command == "sat":
-        outcome = verify_satisfiability(system, graph, config)
-        _warn(outcome.diagnostics)
-        _emit(_document(problem, config, outcome), args.output)
-        return 2 if outcome.verdict == "unsatisfiable" else 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    if args.command == "solve-approx" and "max_rounds" in problem.config:
+        # the file-side twin of the --max-rounds flag solve-approx lacks
+        raise ProblemError(
+            f"{args.problem}: solve-approx runs exactly T rounds and reads no config 'max_rounds'"
+        )
+    outcome = _SOLVERS[args.command](system, graph, config)
+    for reason in outcome.undecided:
+        print(f"warning: {reason}", file=sys.stderr)
+    doc = _document(problem, config, outcome)
+    if args.command == "solve" and args.verify:
+        expected = {tuple(x) for x in oracle_solve(system)}
+        doc["verify"] = "ok" if set(outcome.solutions) == expected else "mismatch"
+    _emit(doc, args.output)
+    if doc.get("verify") == "mismatch":
+        print("error: solution set does not match the oracle", file=sys.stderr)
+        return 1
+    if outcome.undecided:
+        return 3
+    return 2 if outcome.verdict == "unsatisfiable" else 0
 
 
 if __name__ == "__main__":

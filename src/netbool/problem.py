@@ -36,6 +36,11 @@ class ProblemError(ValueError):
     """Invalid problem file content."""
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int``, but ``true`` is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProblemFile:
     m: int
@@ -74,7 +79,7 @@ def load_problem(path: str | Path) -> ProblemFile:
             raise ProblemError(f"{path}: missing required field {key!r}")
 
     m = raw["m"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ProblemError(f"{path}: 'm' must be a positive integer")
 
     equations = []
@@ -84,12 +89,13 @@ def load_problem(path: str | Path) -> ProblemFile:
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("formula"), str)
-            or entry.get("rhs") not in (0, 1)
+            or not _is_int(entry.get("rhs"))
+            or entry["rhs"] not in (0, 1)
         ):
             raise ProblemError(
                 f"{path}: equation {k + 1} must be {{\"formula\": str, \"rhs\": 0|1}}"
             )
-        equations.append((entry["formula"], int(entry["rhs"])))
+        equations.append((entry["formula"], entry["rhs"]))
 
     edges = []
     if not isinstance(raw["edges"], list):
@@ -98,7 +104,7 @@ def load_problem(path: str | Path) -> ProblemFile:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, int) for v in pair)
+            or not all(_is_int(v) for v in pair)
         ):
             raise ProblemError(f"{path}: bad edge entry {pair!r}")
         edges.append((pair[0], pair[1]))
@@ -110,8 +116,9 @@ def load_problem(path: str | Path) -> ProblemFile:
     if unknown:
         raise ProblemError(f"{path}: unknown config keys {sorted(unknown)}")
     for key, value in config.items():
-        allowed, kind = ((int, float), "a number") if key == "epsilon" else (int, "an integer")
-        if isinstance(value, bool) or not isinstance(value, allowed):
+        number = key == "epsilon" and isinstance(value, float)
+        if not (number or _is_int(value)):
+            kind = "a number" if key == "epsilon" else "an integer"
             raise ProblemError(f"{path}: config {key!r} must be {kind}, got {value!r}")
 
     problem = ProblemFile(m, tuple(equations), tuple(edges), dict(config))

@@ -108,7 +108,10 @@ class SolveOutcome:
     ``per_node_solutions`` carries each node's locally computed set when
     the mode produces one per node.  ``linear_solutions`` holds the linear
     consensus outputs that the search consumed.  ``verdict``/``stage`` are
-    set by satisfiability verification.
+    set by satisfiability verification.  ``undecided`` holds one short
+    reason per condition that keeps the outcome from being an answer (the
+    nodes' sets disagree, a consensus run hit ``max_rounds``); it is empty
+    exactly when the outcome is decided.
     """
 
     mode: str
@@ -118,6 +121,7 @@ class SolveOutcome:
     stage: str | None = None
     linear_solutions: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
+    undecided: tuple[str, ...] = ()
 
 
 def lift_system(system: BooleanSystem) -> list[LocalLinearEquation]:
@@ -216,21 +220,28 @@ def _search_outcome(
     m: int,
     linear: np.ndarray,
     diagnostics: dict,
+    undecided: tuple[str, ...] = (),
 ) -> SolveOutcome:
     """Each node's solution set is exactly the unit vectors within ``tol``
     of its own subspace, as assignments; ``nodes_agree`` says whether all
-    nodes found the same set, and the outcome reports node 1's."""
+    nodes found the same set, and the outcome reports node 1's.  Nodes
+    that disagree leave the outcome undecided, after the linear stage's
+    own ``undecided`` reasons."""
     per_node = tuple(
         tuple(_assignment(i, m) for i in sorted(boolean_vector_search(sub, tol)))
         for sub in subspaces
     )
-    diagnostics["nodes_agree"] = all(s == per_node[0] for s in per_node)
+    agree = all(s == per_node[0] for s in per_node)
+    diagnostics["nodes_agree"] = agree
+    if not agree:
+        undecided += ("nodes disagree (nodes_agree is false)",)
     return SolveOutcome(
         mode=mode,
         solutions=per_node[0],
         per_node_solutions=per_node,
         linear_solutions=linear,
         diagnostics=diagnostics,
+        undecided=undecided,
     )
 
 
@@ -245,6 +256,7 @@ def solve_exact(
     d = 2^m, of the affine hull of its own outputs, with no check against
     the system: on a consistent lift solutions lie within RANK_TOL of
     every hull, and the lift puts every non-solution 2/sqrt(d) or more away.
+    A run that hits ``max_rounds`` leaves the outcome undecided.
     """
     config = config or RunConfig()
     _, k, linear, rounds, converged = _linear_stage(system, graph, config, False)
@@ -256,6 +268,7 @@ def solve_exact(
         system.m,
         linear,
         {"k_star": k, "rounds": rounds, "converged": converged},
+        () if converged else ("consensus hit max_rounds (converged is false)",),
     )
 
 
@@ -365,6 +378,9 @@ def verify_satisfiability(
     When all limits agree, stage two runs the full solve pipeline and
     returns unsatisfiable exactly when the search finds no solutions.
     Like ``solve_exact``, it refuses ``T`` and k* < 1, before stage one.
+    Stage one leaves the outcome undecided when either of its consensus
+    runs hits ``max_rounds`` or the node flags are split; stage two's
+    reasons follow its own.
     """
     config = config or RunConfig()
     _check_inputs(system, graph, config, False)
@@ -393,6 +409,15 @@ def verify_satisfiability(
         "node_disagreement_flags": node_flags.tolist(),
         "nodes_agree": bool(node_flags.all() or (~node_flags).all()),
     }
+    undecided = tuple(
+        reason
+        for held, reason in (
+            (limits_converged, "limit consensus hit max_rounds (limits_converged is false)"),
+            (avg_converged, "network average hit max_rounds (average_converged is false)"),
+            (diagnostics["nodes_agree"], "node flags are split (nodes_agree is false)"),
+        )
+        if not held
+    )
     if node_flags.any():
         return SolveOutcome(
             mode="sat",
@@ -400,6 +425,7 @@ def verify_satisfiability(
             verdict="unsatisfiable",
             stage="consensus-disagreement",
             diagnostics=diagnostics,
+            undecided=undecided,
         )
 
     # stage two: consistent linear system; decide by solving
@@ -412,6 +438,7 @@ def verify_satisfiability(
         verdict="satisfiable" if solved.solutions else "unsatisfiable",
         stage="solved" if solved.solutions else "empty-solution-set",
         diagnostics=diagnostics,
+        undecided=undecided + solved.undecided,
     )
 
 

@@ -145,18 +145,52 @@ class TestCliSolve:
         assert json.loads(capsys.readouterr().out)["diagnostics"]["k_star"] == 9
 
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
+CONVERGED = "consensus hit max_rounds (converged is false)"
+DISAGREE = "nodes disagree (nodes_agree is false)"
+LIMITS = "limit consensus hit max_rounds (limits_converged is false)"
+AVERAGE = "network average hit max_rounds (average_converged is false)"
+
+
 class TestCliWarnings:
     @pytest.mark.parametrize(
-        "command, flag, code",
-        [("solve", "converged", 0), ("sat", "limits_converged", 2)],
+        "args, undecided, verdict",
+        [
+            (["solve", "ex1.json", "--max-rounds", "1"], [CONVERGED, DISAGREE], None),
+            (["solve-approx", "ex2.json", "--T", "2", "--seed", "1"], [DISAGREE], None),
+            # exit 3 outranks the unsatisfiable verdict's 2
+            (["sat", "ex1.json", "--max-rounds", "1"], [LIMITS, AVERAGE], "unsatisfiable"),
+        ],
+        ids=["solve", "solve-approx", "sat"],
     )
-    def test_unconverged_consensus_warns(self, command, flag, code, capsys):
-        problem = str(Path(__file__).resolve().parents[1] / "problems" / "ex1.json")
-        assert main([command, problem, "--max-rounds", "1"]) == code
+    def test_undecided_outcome_warns(self, args, undecided, verdict, capsys):
+        command, name, *flags = args
+        assert main([command, str(PROBLEMS / name), *flags]) == 3
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["diagnostics"][flag] is False
-        assert captured.err.startswith("warning: ")
-        assert flag in captured.err
+        doc = json.loads(captured.out)
+        assert doc["undecided"] == undecided
+        assert doc.get("verdict") == verdict
+        assert captured.err.splitlines() == [f"warning: {reason}" for reason in undecided]
+
+    def test_verify_mismatch_outranks_undecided(self, capsys):
+        assert main(["solve", str(PROBLEMS / "ex1.json"), "--max-rounds", "1", "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["verify"] == "mismatch"
+        assert captured.err.splitlines()[-1] == "error: solution set does not match the oracle"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS.glob("*.json")))
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("solve", ["--seed", "7"]), ("solve-approx", ["--T", "300", "--seed", "7"]),
+         ("sat", ["--seed", "3"])],
+        ids=["solve", "solve-approx", "sat"],
+    )
+    def test_decided_outcome_is_quiet(self, name, command, flags, capsys):
+        assert main([command, str(PROBLEMS / name), *flags]) in (0, 2)
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["undecided"] == []
+        assert captured.err == ""
 
 
 class TestCliSat:
@@ -247,6 +281,15 @@ class TestCliHorizon:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_max_rounds_in_problem_file_refused_by_solve_approx(self, tmp_path, capsys):
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(dict(EX1_DOC, config={"max_rounds": 1})))
+        assert main(["solve-approx", str(path), "--T", "300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "reads no config 'max_rounds'" in captured.err
+
     @pytest.mark.parametrize(
         "key", ["c_star", "gamma_star", "consensus_tol", "disagreement_tol", "tol"]
     )
@@ -308,6 +351,28 @@ class TestCliErrors:
         path.write_text(json.dumps({"m": 0, "equations": [], "edges": []}))
         assert main(["solve", str(path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    # bool subclasses int, but JSON true is not an integer
+    @pytest.mark.parametrize(
+        "message, doc",
+        [
+            ("'m' must be a positive integer",
+             {"m": True, "equations": [{"formula": "x1", "rhs": 1}], "edges": []}),
+            ("equation 1 must be",
+             {"m": 1, "equations": [{"formula": "x1", "rhs": True}], "edges": []}),
+            ("equation 1 must be", dict(EX1_DOC, equations=[{"formula": "x1", "rhs": 1.0}] * 3)),
+            ("bad edge entry [True, 2]", dict(EX1_DOC, edges=[[True, 2], [2, 3]])),
+        ],
+        ids=["m-true", "rhs-true", "rhs-float", "edge-true"],
+    )
+    def test_not_an_integer(self, tmp_path, message, doc, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
 
     def test_bad_flag_value(self, ex1_path, capsys):
         assert main(["solve", ex1_path, "--seed", "not-a-number"]) == 1

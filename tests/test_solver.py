@@ -375,6 +375,36 @@ class TestVerifySatisfiability:
             assert min(gaps) >= 100 * solver.DISAGREEMENT_TOL
 
 
+class TestUndecided:
+    """The solver, not its caller, says when an outcome is not an answer."""
+
+    def test_unconverged_exact_run(self, ex1, path3):
+        outcome = solve_exact(ex1, path3, RunConfig(max_rounds=1))
+        assert not outcome.diagnostics["converged"]
+        assert outcome.undecided[0] == "consensus hit max_rounds (converged is false)"
+
+    def test_unconverged_stage_one(self, ex1, path3):
+        outcome = verify_satisfiability(ex1, path3, RunConfig(max_rounds=1))
+        assert outcome.verdict == "unsatisfiable"  # the verdict stands, undecided
+        assert outcome.undecided == (
+            "limit consensus hit max_rounds (limits_converged is false)",
+            "network average hit max_rounds (average_converged is false)",
+        )
+
+    def test_stage_two_reasons_pass_through(self, ex1, path3):
+        # seed 1: stage one converges in 216 rounds, stage two's runs need
+        # up to 220
+        outcome = verify_satisfiability(ex1, path3, RunConfig(seed=1, max_rounds=217))
+        assert outcome.diagnostics["limits_converged"]
+        assert outcome.stage == "solved"
+        assert outcome.undecided == ("consensus hit max_rounds (converged is false)",)
+
+    def test_disagreeing_nodes(self, ex2, path3):
+        outcome = solve_approximate(ex2, path3, RunConfig(T=2, seed=1, chi0_prior=4))
+        assert not outcome.diagnostics["nodes_agree"]
+        assert outcome.undecided == ("nodes disagree (nodes_agree is false)",)
+
+
 class TestSearchThreshold:
     """The exact modes search each node's hull at the geometric mean of
     RANK_TOL, above the solutions' consensus error, and 2/sqrt(2^m): a unit
