@@ -3,13 +3,14 @@
 Subcommands:
 
 * ``solve``        - exact distributed solve (satisfiable systems)
-* ``solve-approx`` - truncated-consensus solve; only it has, and it
-  requires, ``--T``, and it has no ``--max-rounds``
+* ``solve-approx`` - truncated-consensus solve; it requires ``--T``
 * ``sat``          - distributed satisfiability verification
 * ``oracle``       - centralized exhaustive reference solver
 * ``trace``        - dump the per-round node states of one projection
-  consensus run as CSV (columns: round, node, coordinate, value); it
-  takes only ``--seed``, ``--epsilon``, ``--rounds`` and ``--output``
+  consensus run as CSV (columns: round, node, coordinate, value)
+
+``_READS`` lists the run parameters each subcommand but ``oracle`` reads:
+it takes exactly those as flags and as problem-file config keys.
 
 The result document (JSON), or the trace CSV, goes to stdout (or
 ``--output``).  Exit status: 0 on success, 2 when ``sat`` returns
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from itertools import chain, islice
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,72 +67,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_consensus(p: argparse.ArgumentParser) -> None:
-    """Options of every subcommand that runs consensus."""
-    p.add_argument("problem", help="problem file (JSON)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--output", type=str, default=None, help="write the result here instead of stdout")
-
-
-def _add_solver(p: argparse.ArgumentParser, capped: bool) -> None:
-    """Options of the subcommands that solve; ``capped``: the subcommand
-    runs consensus to convergence, which ``--max-rounds`` caps."""
-    _add_consensus(p)
-    p.add_argument("--k-star", type=int, default=None, dest="k_star")
-    p.add_argument("--chi0-prior", type=int, default=None, dest="chi0_prior")
-    if capped:
-        p.add_argument("--max-rounds", type=int, default=None, dest="max_rounds")
+# The RunConfig fields each consensus-running subcommand reads, each one a
+# flag; any other config key is refused.  ``oracle`` runs no consensus and
+# ignores ``config``.
+_READS = {
+    "solve": ("seed", "epsilon", "k_star", "max_rounds"),
+    "solve-approx": ("seed", "epsilon", "k_star", "T"),
+    "sat": ("seed", "epsilon", "k_star", "max_rounds"),
+    "trace": ("seed", "epsilon"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="netbool",
                      description="Solve systems of Boolean equations distributed over a network.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="exact distributed solve")
-    _add_solver(p_solve, capped=True)
-    p_solve.add_argument("--verify", action="store_true",
-                         help="cross-check the solution set against the oracle")
-
-    p_approx = sub.add_parser("solve-approx", help="solve with T-round consensus")
-    _add_solver(p_approx, capped=False)
-    p_approx.add_argument("--T", type=int, default=None, dest="T")
-
-    p_sat = sub.add_parser("sat", help="verify satisfiability")
-    _add_solver(p_sat, capped=True)
-
-    p_oracle = sub.add_parser("oracle", help="centralized brute-force solve")
-    p_oracle.add_argument("problem")
-    p_oracle.add_argument("--output", type=str, default=None)
-
-    p_trace = sub.add_parser("trace", help="dump a consensus trajectory")
-    _add_consensus(p_trace)
-    p_trace.add_argument("--rounds", type=int, default=50)
+    for name, text in [
+        ("solve", "exact distributed solve"),
+        ("solve-approx", "solve with T-round consensus"),
+        ("sat", "verify satisfiability"),
+        ("oracle", "centralized brute-force solve"),
+        ("trace", "dump a consensus trajectory"),
+    ]:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("problem", help="problem file (JSON)")
+        for field in _READS.get(name, ()):
+            p.add_argument("--" + field.replace("_", "-"), type=float if field == "epsilon" else int)
+        p.add_argument("--output", help="write the result here instead of stdout")
+    sub.choices["solve"].add_argument("--verify", action="store_true",
+                                      help="cross-check the solution set against the oracle")
+    sub.choices["trace"].add_argument("--rounds", type=int, default=50)
     return parser
-
-
-def _config_from_args(problem: ProblemFile, args: argparse.Namespace) -> RunConfig:
-    fields = dataclasses.fields(RunConfig)
-    return merge_config(problem, {f.name: getattr(args, f.name, None) for f in fields})
 
 
 def _bits(assignment: Sequence[int]) -> str:
     return "".join(str(b) for b in assignment)
-
-
-def _json_safe(value: Any) -> Any:
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    return value
 
 
 def _document(problem: ProblemFile, config: RunConfig, outcome: SolveOutcome) -> dict:
@@ -142,7 +111,7 @@ def _document(problem: ProblemFile, config: RunConfig, outcome: SolveOutcome) ->
         "n": problem.n,
         "seed": config.seed,
         "solutions": [_bits(x) for x in outcome.solutions],
-        "diagnostics": _json_safe(outcome.diagnostics),
+        "diagnostics": outcome.diagnostics,
         "undecided": list(outcome.undecided),
     }
     if outcome.per_node_solutions is not None:
@@ -216,20 +185,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return 0
 
-    config = _config_from_args(problem, args)
-    system = problem.system()
-    graph = problem.graph()
+    reads = _READS[args.command]
+    for key in sorted(problem.config):
+        if key not in reads:
+            raise ProblemError(f"{args.problem}: {args.command} reads no config {key!r}")
+    config = merge_config(problem, {key: getattr(args, key) for key in reads})
 
     if args.command == "trace":
         _write_trace(problem, config, args.output, args.rounds)
         return 0
 
-    if args.command == "solve-approx" and "max_rounds" in problem.config:
-        # the file-side twin of the --max-rounds flag solve-approx lacks
-        raise ProblemError(
-            f"{args.problem}: solve-approx runs exactly T rounds and reads no config 'max_rounds'"
-        )
-    outcome = _SOLVERS[args.command](system, graph, config)
+    system = problem.system()
+    outcome = _SOLVERS[args.command](system, problem.graph(), config)
     for reason in outcome.undecided:
         print(f"warning: {reason}", file=sys.stderr)
     doc = _document(problem, config, outcome)

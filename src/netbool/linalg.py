@@ -1,11 +1,9 @@
 """Dense linear algebra used by the consensus engine, the solvers' affine
 hulls and fits, and the subspace search.
 
-Matrices and vectors are plain numpy float arrays.  Rank decisions take
-an absolute threshold: a singular value (``affine_from_points``) counts
-only when it is above it.  When none is given, the threshold is 1e-8
-times the largest singular value of the input, which comfortably absorbs
-the ~1e-10 residue that converged consensus output carries.  The
+Matrices and vectors are plain numpy float arrays.  The affine hull
+(``affine_from_points``) decides its rank by an absolute threshold that
+the caller passes: a singular value counts only when it is above it.  The
 truncated mode's fit (``best_affine_fit``) picks its dimension by a
 summed-distance budget instead.  Each takes one thin SVD.
 """
@@ -24,8 +22,6 @@ __all__ = [
     "dist_to_affine",
     "best_affine_fit",
 ]
-
-DEFAULT_RELATIVE_PIVOT = 1e-8
 
 
 @dataclass
@@ -58,10 +54,6 @@ class LocalLinearEquation:
     def dim(self) -> int:
         return self.h.shape[1]
 
-    def residual(self, y: np.ndarray) -> float:
-        """Sup-norm of h y - z."""
-        return float(np.abs(self.h @ y - self.z).max())
-
 
 @dataclass
 class AffineSubspace:
@@ -85,23 +77,19 @@ class AffineSubspace:
         return self.offset + self.basis.T @ (self.basis @ r)
 
 
-def affine_from_points(
-    points: Sequence[np.ndarray], tol: float | None = None
-) -> AffineSubspace:
+def affine_from_points(points: Sequence[np.ndarray], tol: float) -> AffineSubspace:
     """Minimal affine subspace containing all the given points.
 
     One thin SVD of the centred points: the offset is the centroid and the
     basis is the right singular vectors whose singular value is above
-    ``tol`` (default 1e-8 times the largest singular value), so the
-    dimension is the numerical rank of the centred point matrix.
+    ``tol``, so the dimension is the numerical rank of the centred point
+    matrix at that threshold.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("expected at least one point")
     centroid = pts.mean(axis=0)
     _, s, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    if tol is None:
-        tol = DEFAULT_RELATIVE_PIVOT * float(s[0])
     return AffineSubspace(pts.shape[1], centroid, vt[s > tol].copy())
 
 

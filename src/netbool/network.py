@@ -54,16 +54,6 @@ class Graph:
             edges.add((min(i, j), max(i, j)))
         return cls(n, frozenset(edges))
 
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls.from_edge_list(n, [[i, i + 1] for i in range(1, n)])
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls.from_edge_list(
-            n, [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        )
-
     @cached_property
     def _neighbor_table(self) -> tuple[tuple[int, ...], ...]:
         table: list[list[int]] = [[] for _ in range(self.n)]

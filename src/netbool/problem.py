@@ -12,7 +12,8 @@ A problem file is JSON shaped like::
 
 Node ids are 1-based; node i holds equation i, so the node count is the
 number of equations.  The optional ``config`` object carries run-parameter
-overrides; command-line flags take precedence over it.
+overrides; command-line flags take precedence over it.  A key outside
+this shape, at the top level, in an equation or in ``config``, is refused.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .solver import RunConfig
 __all__ = ["ProblemFile", "ProblemError", "load_problem", "merge_config"]
 
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+_TOP_KEYS = {"m", "equations", "edges", "config"}
+_EQUATION_KEYS = {"formula", "rhs"}
 
 
 class ProblemError(ValueError):
@@ -74,6 +77,8 @@ def load_problem(path: str | Path) -> ProblemFile:
 
     if not isinstance(raw, dict):
         raise ProblemError(f"{path}: expected a JSON object at top level")
+    if unknown := sorted(set(raw) - _TOP_KEYS):
+        raise ProblemError(f"{path}: unknown top-level keys {unknown}")
     for key in ("m", "equations", "edges"):
         if key not in raw:
             raise ProblemError(f"{path}: missing required field {key!r}")
@@ -86,6 +91,8 @@ def load_problem(path: str | Path) -> ProblemFile:
     if not isinstance(raw["equations"], list) or not raw["equations"]:
         raise ProblemError(f"{path}: 'equations' must be a non-empty list")
     for k, entry in enumerate(raw["equations"]):
+        if isinstance(entry, dict) and (unknown := sorted(set(entry) - _EQUATION_KEYS)):
+            raise ProblemError(f"{path}: unknown keys {unknown} in equation {k + 1}")
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("formula"), str)
@@ -112,9 +119,8 @@ def load_problem(path: str | Path) -> ProblemFile:
     config = raw.get("config", {})
     if not isinstance(config, dict):
         raise ProblemError(f"{path}: 'config' must be an object")
-    unknown = set(config) - _CONFIG_KEYS
-    if unknown:
-        raise ProblemError(f"{path}: unknown config keys {sorted(unknown)}")
+    if unknown := sorted(set(config) - _CONFIG_KEYS):
+        raise ProblemError(f"{path}: unknown config keys {unknown}")
     for key, value in config.items():
         number = key == "epsilon" and isinstance(value, float)
         if not (number or _is_int(value)):

@@ -74,17 +74,18 @@ class RunConfig:
     """Tunable parameters of a solver run.
 
     ``epsilon`` defaults to 0.9/n (always inside the admissible range),
-    ``k_star`` to 2^m + 1 randomized consensus runs, or 2^m - chi0_prior + 1
-    when the image cardinality of the system is supplied as prior
-    knowledge.  ``T``, the truncated mode's rounds per run, is refused by
-    the other modes; that mode's residual-bound constants c* and gamma*
-    are not fields, ``solve_approximate`` computes them.  The other
-    thresholds are module constants or, for the search, come from the lift.
+    ``k_star``, the number of randomized consensus runs, to 2^m + 1, which
+    always spans a node's hull: every lifted equation fixes the coordinate
+    sum, so the hull has dimension at most 2^m - 1.  ``T``, the truncated
+    mode's rounds per run, is refused by the other modes, and
+    ``max_rounds`` caps the convergent runs of those modes only; the
+    truncated mode's residual-bound constants c* and gamma* are not
+    fields, ``solve_approximate`` computes them.  The other thresholds are
+    module constants or, for the search, come from the lift.
     """
 
     epsilon: float | None = None
     k_star: int | None = None
-    chi0_prior: int | None = None
     T: int | None = None
     seed: int = 0
     max_rounds: int = 5000
@@ -93,11 +94,7 @@ class RunConfig:
         return self.epsilon if self.epsilon is not None else 0.9 / n
 
     def effective_k_star(self, m: int) -> int:
-        if self.k_star is not None:
-            return self.k_star
-        if self.chi0_prior is not None:
-            return 2**m - self.chi0_prior + 1
-        return 2**m + 1
+        return self.k_star if self.k_star is not None else 2**m + 1
 
 
 @dataclass
@@ -344,7 +341,7 @@ def solve_approximate(
         b = fit.dim
         fits.append(fit)
         fit_margins.append(
-            [totals[b] / budget, totals[b - 1] / budget if b > 0 else None]
+            [float(totals[b] / budget), float(totals[b - 1] / budget) if b > 0 else None]
         )
     return _search_outcome(
         "solve-approx",

@@ -1,9 +1,10 @@
 """Shared fixtures: the four worked example systems, their published
-sample data, seeded random generators for systems, formulas, graphs, and
-the centralised references that tests compare the distributed solvers
-against (single-vector projection, echelon rank, stacked equations,
-consensus value, stacked-rank consistency, image cardinality, unit-vector
-search, fixed-dimension fit and the truncated-mode dimension scan)."""
+sample data, path and complete graphs, seeded random generators for
+systems, formulas and graphs, and the centralised references that tests
+compare the distributed solvers against (single-vector projection,
+echelon rank, stacked equations, consensus value, stacked-rank
+consistency, image cardinality, unit-vector search, fixed-dimension fit
+and the truncated-mode dimension scan)."""
 
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from netbool.formula import (
     evaluate,
 )
 from netbool.linalg import (
-    DEFAULT_RELATIVE_PIVOT,
     AffineSubspace,
     LocalLinearEquation,
     dist_to_affine,
@@ -123,7 +123,7 @@ def ex4() -> BooleanSystem:
 
 @pytest.fixture
 def path3() -> Graph:
-    return Graph.path(3)
+    return path_graph(3)
 
 
 # --- seeded random generators -------------------------------------------
@@ -153,6 +153,16 @@ def random_satisfiable_system(
         f = random_formula(rng, m)
         equations.append((f, evaluate(f, target)))
     return BooleanSystem(m, tuple(equations))
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edge_list(n, [[i, i + 1] for i in range(1, n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edge_list(
+        n, [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    )
 
 
 def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
@@ -223,7 +233,7 @@ def rank_and_echelon(
     if a.size == 0:
         return 0, np.zeros((rows, 0)), []
     if pivot_tol is None:
-        pivot_tol = DEFAULT_RELATIVE_PIVOT * float(np.abs(a).max())
+        pivot_tol = 1e-8 * float(np.abs(a).max())
 
     # Gauss-Jordan on the transpose: its RREF rows are the echelon columns,
     # and its pivot column positions are the pivot rows of ``a``.
@@ -282,8 +292,7 @@ def chi0(system: BooleanSystem) -> int:
     by enumeration.
 
     Always between 1 and min(2^m, 2^n); bounds the rank of the stacked
-    lifted system, and is the prior that ``RunConfig.chi0_prior`` takes
-    to run fewer randomized rounds.
+    lifted system from above.
     """
     images = {
         tuple(evaluate(f, itob(i, system.m)) for f, _ in system.equations)

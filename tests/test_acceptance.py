@@ -21,6 +21,7 @@ from conftest import (
     EX4_TEXTS,
     boolean_vector_search_bruteforce,
     chi0,
+    path_graph,
     project_affine,
     random_connected_graph,
     random_satisfiable_system,
@@ -30,7 +31,7 @@ from conftest import (
 from netbool.formula import BooleanSystem
 from netbool.linalg import affine_from_points
 from netbool.matricization import boolean_matricization
-from netbool.network import Graph, build_weights, consensus, run_to_convergence
+from netbool.network import build_weights, consensus, run_to_convergence
 from netbool.search import boolean_vector_search
 from netbool.solver import (
     RunConfig,
@@ -55,7 +56,7 @@ def report(number: int, label: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_first_example_reproduction():
     start = time.perf_counter()
     system = BooleanSystem.from_texts(3, EX1_TEXTS)
-    graph = Graph.path(3)
+    graph = path_graph(3)
 
     matrices_ok = all(
         np.array_equal(
@@ -80,7 +81,7 @@ def test_criterion_1_first_example_reproduction():
 
 def test_criterion_2_second_example_with_image_prior():
     system = BooleanSystem.from_texts(3, EX2_TEXTS)
-    graph = Graph.path(3)
+    graph = path_graph(3)
 
     image_size = chi0(system)
     matrices_ok = all(
@@ -105,7 +106,7 @@ def test_criterion_2_second_example_with_image_prior():
 
 def test_criterion_3_disagreeing_limits_detect_infeasible_lift():
     system = BooleanSystem.from_texts(3, EX3_TEXTS)
-    graph = Graph.path(3)
+    graph = path_graph(3)
     eqs = lift_system(system)
 
     rng = np.random.default_rng(0)
@@ -132,7 +133,7 @@ def test_criterion_3_disagreeing_limits_detect_infeasible_lift():
 
 def test_criterion_4_consistent_lift_with_empty_boolean_set():
     system = BooleanSystem.from_texts(3, EX4_TEXTS)
-    graph = Graph.path(3)
+    graph = path_graph(3)
 
     rank_ok = stacked_rank_consistent(lift_system(system))
     hits = 0
@@ -211,7 +212,7 @@ def test_criterion_6_search_equals_bruteforce_on_500_instances():
 
 def test_criterion_7_consensus_identities():
     system = BooleanSystem.from_texts(3, EX1_TEXTS)
-    graph = Graph.path(3)
+    graph = path_graph(3)
     eqs = lift_system(system)
     stacked = stack_equations(eqs)
     rng = np.random.default_rng(1)
@@ -265,7 +266,7 @@ def test_criterion_7_consensus_identities():
 def test_criterion_8_truncated_mode_failure_trend():
     start = time.perf_counter()
     system = BooleanSystem.from_texts(3, EX1_TEXTS)
-    graph = Graph.path(3)
+    graph = path_graph(3)
     expected = oracle_solve(system)
     trials = 50
 

@@ -162,14 +162,14 @@ class TestProjectAffine:
 class TestAffineFromPoints:
     def test_single_point(self):
         p = np.array([1.0, 2.0, 3.0])
-        a = affine_from_points([p])
+        a = affine_from_points([p], 1e-8)
         assert a.dim == 0
         assert np.array_equal(a.offset, p)
         assert dist_to_affine(p, a) == 0.0
 
     def test_simplex_plane(self):
         pts = np.eye(3)
-        a = affine_from_points(pts)
+        a = affine_from_points(pts, 1e-8)
         assert a.dim == 2
         assert dist_to_affine(np.full(3, 1.0 / 3.0), a) < 1e-12
 
@@ -190,7 +190,7 @@ class TestAffineFromPoints:
     def test_inputs_are_members(self):
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(6, 5))
-        a = affine_from_points(pts)
+        a = affine_from_points(pts, 1e-8)
         for p in pts:
             assert dist_to_affine(p, a) < 1e-9
 
@@ -198,8 +198,8 @@ class TestAffineFromPoints:
         rng = np.random.default_rng(12)
         base = rng.normal(size=(3, 6))
         dependent = base[0] + 2.5 * (base[1] - base[0])  # on the same plane
-        with_dep = affine_from_points(np.vstack([base, dependent[None, :]]))
-        without = affine_from_points(base)
+        with_dep = affine_from_points(np.vstack([base, dependent[None, :]]), 1e-8)
+        without = affine_from_points(base, 1e-8)
         assert with_dep.dim == without.dim
 
     @pytest.mark.parametrize(
@@ -218,7 +218,8 @@ class TestAffineFromPoints:
         directions = np.linalg.qr(rng.normal(size=(d, d)))[0][:, : len(scales)].T
         coords = rng.normal(size=(k, len(scales))) * np.array(scales)
         pts = rng.normal(size=d) + coords @ directions + noise * rng.normal(size=(k, d))
-        a = affine_from_points(pts, tol)
+        # tol None: exact points, whose rank any small threshold finds
+        a = affine_from_points(pts, 1e-8 if tol is None else tol)
         centred = pts - pts.mean(axis=0)
         assert a.dim == np.linalg.matrix_rank(centred, tol=tol)
         assert a.dim == sum(s > 1e-6 for s in scales)
@@ -226,24 +227,24 @@ class TestAffineFromPoints:
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(5, 7))
-        a = affine_from_points(pts)
+        a = affine_from_points(pts, 1e-8)
         assert np.allclose(a.basis @ a.basis.T, np.eye(a.dim), atol=1e-12)
 
 
 class TestDistToAffine:
     def test_offset_is_member(self):
-        a = affine_from_points(np.array([[1.0, 2.0], [3.0, 2.0]]))
+        a = affine_from_points(np.array([[1.0, 2.0], [3.0, 2.0]]), 1e-8)
         assert dist_to_affine(np.array([1.0, 2.0]), a) == 0.0
 
     def test_axis_line(self):
         # the x-axis in the plane; distance of (3, 4) is 4
-        a = affine_from_points(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        a = affine_from_points(np.array([[0.0, 0.0], [1.0, 0.0]]), 1e-8)
         assert dist_to_affine(np.array([3.0, 4.0]), a) == pytest.approx(4.0)
 
     def test_self_consistency(self):
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(4, 6))
-        a = affine_from_points(pts)
+        a = affine_from_points(pts, 1e-8)
         for _ in range(10):
             y = rng.normal(size=6)
             proj = a.project(y)
@@ -251,7 +252,7 @@ class TestDistToAffine:
             assert dist_to_affine(proj, a) < 1e-9
 
     def test_dimension_mismatch(self):
-        a = affine_from_points(np.array([[0.0, 0.0]]))
+        a = affine_from_points(np.array([[0.0, 0.0]]), 1e-8)
         with pytest.raises(ValueError):
             dist_to_affine(np.zeros(3), a)
 
@@ -290,7 +291,7 @@ class TestBestAffineFit:
         rng = np.random.default_rng(33)
         basis = rng.normal(size=(3, 8))
         pts = rng.normal(size=(12, 3)) @ basis + rng.normal(size=8)
-        hull = affine_from_points(pts)
+        hull = affine_from_points(pts, 1e-8)
         fit, _ = best_affine_fit(pts, budget=1e-6)
         assert fit.dim == hull.dim
         # the two subspaces coincide: each basis direction of one is inside

@@ -8,6 +8,8 @@ from conftest import (
     EX1_TEXTS,
     EX3_TEXTS,
     central_projected_average,
+    complete_graph,
+    path_graph,
     project_affine,
     stack_equations,
 )
@@ -23,7 +25,7 @@ CONSTANT_TEXTS = [("1", 1)] + EX1_TEXTS[1:]
 
 class TestGraph:
     def test_path_neighbors(self):
-        g = Graph.path(4)
+        g = path_graph(4)
         assert g.neighbors(1) == (2,)
         assert g.neighbors(2) == (1, 3)
         assert g.degree(3) == 2
@@ -51,23 +53,23 @@ class TestGraph:
 
 class TestBuildWeights:
     def test_three_node_path(self):
-        w = build_weights(Graph.path(3), 0.2)
+        w = build_weights(path_graph(3), 0.2)
         assert np.allclose(
             w, [[0.8, 0.2, 0.0], [0.2, 0.6, 0.2], [0.0, 0.2, 0.8]]
         )
 
     def test_two_node_complete(self):
-        w = build_weights(Graph.complete(2), 0.25)
+        w = build_weights(complete_graph(2), 0.25)
         assert np.allclose(w, [[0.75, 0.25], [0.25, 0.75]])
 
     @pytest.mark.parametrize("n,eps", [(3, 0.1), (5, 0.18), (2, 0.49)])
     def test_stochastic_and_symmetric(self, n, eps):
-        w = build_weights(Graph.complete(n), eps)
+        w = build_weights(complete_graph(n), eps)
         assert np.allclose(w.sum(axis=1), 1.0)
         assert np.array_equal(w, w.T)
 
     def test_epsilon_range(self):
-        g = Graph.path(3)
+        g = path_graph(3)
         with pytest.raises(ValueError):
             build_weights(g, 0.0)
         with pytest.raises(ValueError):
@@ -76,13 +78,13 @@ class TestBuildWeights:
 
 class TestAverageConsensus:
     def test_consensus_is_fixed_point(self):
-        g = Graph.path(3)
+        g = path_graph(3)
         states = np.tile([1.0, 2.0], (3, 1))
         stepped = next(consensus(build_weights(g, 0.2), states))
         assert np.array_equal(stepped, states)
 
     def test_two_node_step(self):
-        g = Graph.complete(2)
+        g = complete_graph(2)
         stepped = next(consensus(build_weights(g, 0.25), np.array([[0.0], [1.0]])))
         assert np.allclose(stepped, [[0.25], [0.75]])
 
@@ -96,7 +98,7 @@ class TestAverageConsensus:
 
     def test_limit_is_initial_mean(self):
         rng = np.random.default_rng(5)
-        g = Graph.path(4)
+        g = path_graph(4)
         initials = rng.random((4, 5))
         states, _, converged = run_to_convergence(
             build_weights(g, 0.2), initials, None, 1e-12, 10000

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from netbool.cli import _build_parser, main
 from netbool.problem import ProblemError, load_problem, merge_config
-from netbool.solver import RunConfig
+from netbool.solver import RunConfig, solve_approximate, solve_exact, verify_satisfiability
 
 EX1_DOC = {
     "m": 3,
@@ -91,6 +92,26 @@ class TestLoadProblem:
         with pytest.raises(ProblemError, match="stepsize"):
             load_problem(path)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (dict(EX1_DOC, confg={"seed": 1}), "unknown top-level keys ['confg']"),
+            (dict(EX1_DOC, equations=[dict(EX1_DOC["equations"][0], rsh=0)]
+                  + EX1_DOC["equations"][1:]),
+             "unknown keys ['rsh'] in equation 1"),
+        ],
+        ids=["top-level", "equation"],
+    )
+    def test_unknown_key_refused(self, tmp_path, doc, message, capsys):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProblemError, match=re.escape(message)):
+            load_problem(path)
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
     def test_bad_rhs(self, tmp_path):
         doc = dict(EX1_DOC, equations=[{"formula": "x1", "rhs": 2}])
         path = tmp_path / "bad.json"
@@ -143,6 +164,33 @@ class TestCliSolve:
     def test_k_star_flag(self, ex1_path, capsys):
         main(["solve", ex1_path, "--seed", "7", "--k-star", "9"])
         assert json.loads(capsys.readouterr().out)["diagnostics"]["k_star"] == 9
+
+    @pytest.mark.parametrize(
+        "solve, config, system",
+        [
+            (solve_exact, RunConfig(seed=7), EX1_DOC),
+            (solve_approximate, RunConfig(seed=7, T=50), EX1_DOC),
+            (verify_satisfiability, RunConfig(seed=3), EX1_DOC),
+            (verify_satisfiability, RunConfig(seed=1), EX3_DOC),
+        ],
+        ids=["solve", "solve-approx", "sat-solved", "sat-disagreement"],
+    )
+    def test_diagnostics_are_plain_values(self, tmp_path, solve, config, system):
+        # the document writes the diagnostics as they are, so numpy scalars
+        # and arrays must not reach them
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(system))
+        problem = load_problem(path)
+        plain = (bool, int, float, str, type(None), list, dict)
+
+        def walk(value):
+            assert type(value) in plain, value
+            if isinstance(value, dict):
+                value = list(value.values())
+            for child in value if isinstance(value, list) else ():
+                walk(child)
+
+        walk(solve(problem.system(), problem.graph(), config).diagnostics)
 
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -253,7 +301,7 @@ class TestCliHorizon:
         assert main([command, str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: only solve_approximate takes T")
+        assert captured.err == f"error: {path}: {command} reads no config 'T'\n"
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -265,6 +313,9 @@ class TestCliHorizon:
             ("sat", "--tol"),
             ("trace", "--k-star"),
             ("trace", "--chi0-prior"),
+            ("solve", "--chi0-prior"),
+            ("solve-approx", "--chi0-prior"),
+            ("sat", "--chi0-prior"),
             ("trace", "--tol"),
             ("trace", "--max-rounds"),
             ("solve-approx", "--max-rounds"),
@@ -290,8 +341,19 @@ class TestCliHorizon:
         assert captured.err.startswith("error: ")
         assert "reads no config 'max_rounds'" in captured.err
 
+    @pytest.mark.parametrize("key", ["k_star", "T", "max_rounds"])
+    def test_unread_config_refused_by_trace(self, tmp_path, key, capsys):
+        path = tmp_path / "traced.json"
+        path.write_text(json.dumps(dict(EX1_DOC, config={"seed": 3, key: 5})))
+        out = tmp_path / "trace.csv"
+        assert main(["trace", str(path), "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: trace reads no config {key!r}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
-        "key", ["c_star", "gamma_star", "consensus_tol", "disagreement_tol", "tol"]
+        "key", ["c_star", "gamma_star", "consensus_tol", "disagreement_tol", "tol", "chi0_prior"]
     )
     def test_bound_constants_in_problem_file_refused(self, tmp_path, key, capsys):
         path = tmp_path / "bound.json"
@@ -312,17 +374,15 @@ def test_option_surface():
         name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
         for name, p in sub.choices.items()
     }
-    solver = ["--seed", "--epsilon", "--output", "--k-star", "--chi0-prior"]
-    capped = solver + ["--max-rounds"]
     assert options == {
-        "solve": capped + ["--verify"],
-        "solve-approx": solver + ["--T"],
-        "sat": capped,
+        "solve": ["--seed", "--epsilon", "--k-star", "--max-rounds", "--output", "--verify"],
+        "solve-approx": ["--seed", "--epsilon", "--k-star", "--T", "--output"],
+        "sat": ["--seed", "--epsilon", "--k-star", "--max-rounds", "--output"],
         "oracle": ["--output"],
         "trace": ["--seed", "--epsilon", "--output", "--rounds"],
     }
     assert [f.name for f in dataclasses.fields(RunConfig)] == [
-        "epsilon", "k_star", "chi0_prior", "T", "seed", "max_rounds",
+        "epsilon", "k_star", "T", "seed", "max_rounds",
     ]
 
 
@@ -385,7 +445,6 @@ class TestCliErrors:
             ("seed", 7.0, "an integer"),
             ("seed", True, "an integer"),
             ("k_star", "3", "an integer"),
-            ("chi0_prior", 1.5, "an integer"),
             ("max_rounds", None, "an integer"),
             ("max_rounds", 2.5, "an integer"),
             ("T", "300", "an integer"),

@@ -11,6 +11,7 @@ from conftest import (
     EX2_MATRICES,
     central_projected_average,
     chi0,
+    path_graph,
     project_affine,
     random_connected_graph,
     random_satisfiable_system,
@@ -61,7 +62,7 @@ class TestLiftSystem:
         for x in oracle_solve(ex1):
             e = unit_vector(btoi(x), 8)
             for eq in eqs:
-                assert eq.residual(e) < 1e-12
+                assert np.abs(eq.h @ e - eq.z).max() < 1e-12
 
 
 class TestDistributedLAE:
@@ -83,7 +84,7 @@ class TestDistributedLAE:
         assert converged
         for node_state in states:
             for eq in eqs:
-                assert eq.residual(node_state) < 1e-8
+                assert np.abs(eq.h @ node_state - eq.z).max() < 1e-8
 
     def test_matches_central_average(self, ex1, path3):
         eqs = lift_system(ex1)
@@ -135,10 +136,10 @@ class TestDistributedLAE:
         # the projection correction; keeping the initials would make a fourth
         system = random_satisfiable_system(np.random.default_rng(0), 6, 3)
         config = RunConfig(seed=1, T=5)
-        solver._linear_stage(system, Graph.path(3), config, True)  # warm caches
+        solver._linear_stage(system, path_graph(3), config, True)  # warm caches
         tracemalloc.start()
         try:
-            _, _, states, _, _ = solver._linear_stage(system, Graph.path(3), config, True)
+            _, _, states, _, _ = solver._linear_stage(system, path_graph(3), config, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -158,7 +159,7 @@ class TestSolveExact:
         assert outcome.diagnostics["nodes_agree"]
 
     def test_second_worked_example_with_prior(self, ex2, path3):
-        config = RunConfig(seed=3, chi0_prior=chi0(ex2))
+        config = RunConfig(seed=3, k_star=2**3 - chi0(ex2) + 1)
         outcome = solve_exact(ex2, path3, config)
         assert outcome.diagnostics["k_star"] == 5
         assert set(outcome.solutions) == {(1, 0, 0)}
@@ -190,7 +191,7 @@ class TestSolveExact:
 
     def test_node_count_mismatch(self, ex1):
         with pytest.raises(ValueError, match="nodes"):
-            solve_exact(ex1, Graph.path(2), RunConfig())
+            solve_exact(ex1, path_graph(2), RunConfig())
 
     @pytest.mark.parametrize("solve", [solve_exact, verify_satisfiability])
     def test_horizon_refused(self, ex1, path3, solve):
@@ -242,9 +243,9 @@ class TestSolveApproximate:
         with pytest.raises(ValueError, match=f"T must be >= 1, got {T}"):
             solve_approximate(ex1, path3, RunConfig(T=T))
 
-    @pytest.mark.parametrize("config", [RunConfig(T=50, k_star=0), RunConfig(T=50, chi0_prior=9)])
+    @pytest.mark.parametrize("config", [RunConfig(T=50, k_star=0), RunConfig(T=50, k_star=-1)])
     def test_no_runs_refused(self, ex1, path3, config):
-        with pytest.raises(ValueError, match="k_star must be >= 1, got 0"):
+        with pytest.raises(ValueError, match=f"k_star must be >= 1, got {config.k_star}"):
             solve_approximate(ex1, path3, config)
 
     def test_long_horizon_recovers_exact_set(self, ex1, path3):
@@ -400,7 +401,7 @@ class TestUndecided:
         assert outcome.undecided == ("consensus hit max_rounds (converged is false)",)
 
     def test_disagreeing_nodes(self, ex2, path3):
-        outcome = solve_approximate(ex2, path3, RunConfig(T=2, seed=1, chi0_prior=4))
+        outcome = solve_approximate(ex2, path3, RunConfig(T=2, seed=1, k_star=5))
         assert not outcome.diagnostics["nodes_agree"]
         assert outcome.undecided == ("nodes disagree (nodes_agree is false)",)
 
@@ -603,5 +604,4 @@ class TestRunConfig:
 
     def test_default_k_star(self):
         assert RunConfig().effective_k_star(3) == 9
-        assert RunConfig(chi0_prior=4).effective_k_star(3) == 5
         assert RunConfig(k_star=2).effective_k_star(3) == 2
