@@ -26,15 +26,16 @@ from .formula import (
 )
 from .linalg import (
     AffineSubspace,
-    LocalLinearEquation,
     affine_from_points,
     best_affine_fit,
     dist_to_affine,
 )
 from .matricization import (
+    LiftedSystem,
     boolean_matricization,
     btoi,
     itob,
+    lift_system,
     unit_vector,
 )
 from .network import Graph, build_weights, consensus, run_to_convergence
@@ -44,7 +45,6 @@ from .solver import (
     RunConfig,
     SolveOutcome,
     distributed_lae,
-    lift_system,
     oracle_solve,
     solve_approximate,
     solve_exact,

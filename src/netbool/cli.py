@@ -37,12 +37,12 @@ from typing import Sequence
 import numpy as np
 
 from .formula import FormulaSyntaxError
+from .matricization import lift_system
 from .network import build_weights, consensus
 from .problem import ProblemError, ProblemFile, load_problem, merge_config
 from .solver import (
     RunConfig,
     SolveOutcome,
-    lift_system,
     oracle_solve,
     solve_approximate,
     solve_exact,
@@ -135,6 +135,8 @@ def _emit(doc: dict, output: str | None) -> None:
 def _write_trace(problem: ProblemFile, config: RunConfig, path: str | None, rounds: int) -> None:
     """Record one projection-consensus run (round 0 = initial states) in
     long CSV form: round, node, coordinate, value."""
+    if rounds < 0:
+        raise ValueError(f"--rounds must be >= 0, got {rounds}")
     system = problem.system()
     graph = problem.graph()
     eqs = lift_system(system)

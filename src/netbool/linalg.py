@@ -1,5 +1,5 @@
-"""Dense linear algebra used by the consensus engine, the solvers' affine
-hulls and fits, and the subspace search.
+"""Affine subspaces: the exact modes' affine hulls, the truncated mode's
+fits, and the distance from a point to a subspace.
 
 Matrices and vectors are plain numpy float arrays.  The affine hull
 (``affine_from_points``) decides its rank by an absolute threshold that
@@ -10,49 +10,17 @@ summed-distance budget instead.  Each takes one thin SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "LocalLinearEquation",
     "AffineSubspace",
     "affine_from_points",
     "dist_to_affine",
     "best_affine_fit",
 ]
-
-
-@dataclass
-class LocalLinearEquation:
-    """The pair (h, z) of a linear equation h y = z, with the projector
-    data onto its affine solution set cached: ``h_pinv`` is the
-    Moore-Penrose pseudoinverse of h (singular values below 1e-12 times
-    the largest count as zero).
-
-    When the equation is consistent, the projection y - h^+ (h y - z) of
-    the consensus round maps any y to the Euclidean-nearest solution; when
-    it is not, the same formula yields the nearest least-squares point,
-    which is what the consensus recursion expects in the infeasible case.
-    """
-
-    h: np.ndarray
-    z: np.ndarray
-    h_pinv: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
-        if self.h.ndim != 2 or self.z.ndim != 1 or self.z.shape[0] != self.h.shape[0]:
-            raise ValueError(
-                f"incompatible shapes: h {self.h.shape}, z {self.z.shape}"
-            )
-        self.h_pinv = np.linalg.pinv(self.h, rcond=1e-12)
-
-    @property
-    def dim(self) -> int:
-        return self.h.shape[1]
 
 
 @dataclass

@@ -1,5 +1,5 @@
-"""Bijections between assignments and unit vectors, and the unit-column
-matrix representation of a Boolean mapping.
+"""Bijections between assignments and unit vectors, the unit-column
+matrix representation of a Boolean mapping, and the lift of a system.
 
 Conventions, used everywhere downstream:
 
@@ -20,17 +20,20 @@ the output bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .formula import BooleanFormula, truth_table
+from .formula import BooleanFormula, BooleanSystem, truth_table
 
 __all__ = [
     "btoi",
     "itob",
     "unit_vector",
     "boolean_matricization",
+    "LiftedSystem",
+    "lift_system",
 ]
 
 
@@ -71,3 +74,28 @@ def boolean_matricization(f: BooleanFormula, m: int) -> np.ndarray:
     values = np.array(truth_table(f, m), dtype=float)
     return np.stack([1.0 - values, values])
 
+
+@dataclass(frozen=True)
+class LiftedSystem:
+    """A system's lifted equations H_i y = z_i, stacked with index i node
+    i's own: ``h`` is (n, 2, 2^m), ``z`` (n, 2, 1) and ``h_pinv``, each
+    H_i's pseudoinverse, (n, 2^m, 2)."""
+
+    h: np.ndarray
+    z: np.ndarray
+    h_pinv: np.ndarray
+
+
+def lift_system(system: BooleanSystem) -> LiftedSystem:
+    """H_i the unit-column matrix of f_i, z_i the unit vector of the
+    required output bit.
+
+    The rows of H_i are the indicators of f_i's two output classes, so
+    H_i H_i^T is the diagonal of the class sizes and H_i^+ is H_i^T with
+    each column divided by its class size.  An empty class (a constant
+    f_i) keeps its zero column, as the SVD pseudoinverse would.
+    """
+    h = np.stack([boolean_matricization(f, system.m) for f, _ in system.equations])
+    z = np.stack([unit_vector(rhs + 1, 2) for _, rhs in system.equations])[:, :, None]
+    h_pinv = h.transpose(0, 2, 1) / np.maximum(h.sum(axis=2), 1)[:, None, :]
+    return LiftedSystem(h, z, h_pinv)

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .linalg import LocalLinearEquation
+from .matricization import LiftedSystem
 
 __all__ = ["Graph", "build_weights", "consensus", "run_to_convergence"]
 
@@ -100,7 +100,7 @@ def build_weights(graph: Graph, epsilon: float) -> np.ndarray:
 def consensus(
     w: np.ndarray,
     states: np.ndarray,
-    eqs: Sequence[LocalLinearEquation] | None = None,
+    eqs: LiftedSystem | None = None,
 ) -> Iterator[np.ndarray]:
     """The rounds of synchronous runs from ``states``: an endless generator
     of state arrays, a new array each round.  ``states`` is one run's
@@ -110,13 +110,13 @@ def consensus(
     A round is x <- P(W x): every node mixes with its neighbors through
     the mixing matrix ``w``, then, when ``eqs`` is given, projects onto its
     own affine solution set by y - h^+ (h y - z), for all nodes at once as
-    batched products on the equations stacked into (n, r, d) arrays.  With
-    ``eqs`` None the round is plain averaging.  The k runs live in one
-    C-contiguous (n, d k) array, coordinate-major with the run as the
-    fastest axis, so a round is one ``w @ x`` for every run and one
-    projection on its (n, d, k) view; one run is the case k = 1, where
-    that array is the (n, d) state itself.  The inputs are checked when
-    the first round is requested; the equations must share one shape.
+    batched products on the lift's stacked arrays, whose index i is node
+    i's equation.  With ``eqs`` None the round is plain averaging.  The k
+    runs live in one C-contiguous (n, d k) array, coordinate-major with
+    the run as the fastest axis, so a round is one ``w @ x`` for every run
+    and one projection on its (n, d, k) view; one run is the case k = 1,
+    where that array is the (n, d) state itself.  The inputs are checked
+    when the first round is requested.
     """
     x = np.asarray(states, dtype=float)
     n = w.shape[0]
@@ -124,12 +124,8 @@ def consensus(
         raise ValueError(
             f"expected one state row per node, got shape {x.shape} for n={n}"
         )
-    if eqs is not None:
-        if len(eqs) != n:
-            raise ValueError(f"expected {n} equations, got {len(eqs)}")
-        h = np.stack([eq.h for eq in eqs])  # (n, r, d)
-        h_pinv = np.stack([eq.h_pinv for eq in eqs])  # (n, d, r)
-        z = np.stack([eq.z for eq in eqs])[:, :, None]  # (n, r, 1)
+    if eqs is not None and len(eqs.h) != n:
+        raise ValueError(f"expected {n} equations, got {len(eqs.h)}")
     batched = x.ndim == 3
     k, d = (x.shape[0], x.shape[2]) if batched else (1, x.shape[1])
     if batched:
@@ -139,14 +135,14 @@ def consensus(
         x = w @ x
         y = x.reshape(n, d, k)
         if eqs is not None:
-            y -= h_pinv @ (h @ y - z)
+            y -= eqs.h_pinv @ (eqs.h @ y - eqs.z)
         yield y.transpose(2, 0, 1) if batched else x
 
 
 def run_to_convergence(
     w: np.ndarray,
     states: np.ndarray,
-    eqs: Sequence[LocalLinearEquation] | None,
+    eqs: LiftedSystem | None,
     tol: float,
     max_rounds: int,
 ) -> tuple[np.ndarray, int, bool]:

@@ -1,6 +1,7 @@
-"""Top-level solvers: lift a Boolean system to per-node linear equations,
-solve those by projection consensus over the network, and recover Boolean
-solutions by searching the affine hull of the consensus outputs.
+"""Top-level solvers: lift a Boolean system to per-node linear equations
+(``matricization.lift_system``), solve those by projection consensus over
+the network, and recover Boolean solutions by searching the affine hull of
+the consensus outputs.
 
 Four entry points:
 
@@ -36,19 +37,17 @@ import numpy as np
 from .formula import BooleanSystem
 from .linalg import (
     AffineSubspace,
-    LocalLinearEquation,
     affine_from_points,
     best_affine_fit,
     dist_to_affine,  # noqa: F401  unused; perfbench/tracing.py wraps this name
 )
-from .matricization import boolean_matricization, itob, unit_vector
+from .matricization import LiftedSystem, itob, lift_system
 from .network import Graph, build_weights, consensus, run_to_convergence
 from .search import boolean_vector_search
 
 __all__ = [
     "RunConfig",
     "SolveOutcome",
-    "lift_system",
     "distributed_lae",
     "solve_exact",
     "solve_approximate",
@@ -90,6 +89,11 @@ class RunConfig:
     seed: int = 0
     max_rounds: int = 5000
 
+    def __post_init__(self):
+        # numpy's own refusal of a negative seed names no parameter
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def effective_epsilon(self, n: int) -> float:
         return self.epsilon if self.epsilon is not None else 0.9 / n
 
@@ -121,19 +125,8 @@ class SolveOutcome:
     undecided: tuple[str, ...] = ()
 
 
-def lift_system(system: BooleanSystem) -> list[LocalLinearEquation]:
-    """Per-node linear equations H_i y = z_i: H_i the unit-column matrix of
-    f_i, z_i the unit vector of the required output bit."""
-    eqs = []
-    for f, rhs in system.equations:
-        h = boolean_matricization(f, system.m)
-        z = unit_vector(rhs + 1, 2)
-        eqs.append(LocalLinearEquation(h, z))
-    return eqs
-
-
 def distributed_lae(
-    eqs: Sequence[LocalLinearEquation],
+    eqs: LiftedSystem,
     graph: Graph,
     config: RunConfig,
     initials: np.ndarray,
@@ -183,11 +176,11 @@ def _check_inputs(
 
 def _linear_stage(
     system: BooleanSystem, graph: Graph, config: RunConfig, truncated: bool
-) -> tuple[list[LocalLinearEquation], int, np.ndarray, list[int], bool]:
+) -> tuple[LiftedSystem, int, np.ndarray, list[int], bool]:
     """The lift and the k* seeded ``distributed_lae`` runs both solve modes
     start from: the truncated mode's fixed-horizon runs as one batched
     pass, the exact mode's convergent runs one by one, each stopping at
-    its own round.  Returns (equations, k*, the runs' states as
+    its own round.  Returns (the lift, k*, the runs' states as
     (k*, n, 2^m), per-run rounds, whether every run converged)."""
     k = _check_inputs(system, graph, config, truncated)
     eqs = lift_system(system)
@@ -270,7 +263,7 @@ def solve_exact(
 
 
 def estimate_contraction_rate(
-    eqs: Sequence[LocalLinearEquation], graph: Graph, config: RunConfig
+    eqs: LiftedSystem, graph: Graph, config: RunConfig
 ) -> float:
     """Per-round exponential decay rate of the projection-consensus state
     change, fitted on an observed 400-round run from seeded random initials.
@@ -281,7 +274,7 @@ def estimate_contraction_rate(
     """
     rng = np.random.default_rng(config.seed + 0x5EED)
     w = build_weights(graph, config.effective_epsilon(graph.n))
-    prev = rng.random((graph.n, eqs[0].dim))
+    prev = rng.random((graph.n, eqs.h.shape[2]))
     shifts: list[float] = []
     for states in islice(consensus(w, prev, eqs), 400):
         shifts.append(float(np.abs(states - prev).max()))

@@ -1,10 +1,11 @@
 """Shared fixtures: the four worked example systems, their published
 sample data, path and complete graphs, seeded random generators for
 systems, formulas and graphs, and the centralised references that tests
-compare the distributed solvers against (single-vector projection,
-echelon rank, stacked equations, consensus value, stacked-rank
-consistency, image cardinality, unit-vector search, fixed-dimension fit
-and the truncated-mode dimension scan)."""
+compare the distributed solvers against (general linear equations with
+an SVD pseudoinverse, single-vector projection, echelon rank, stacked
+equations, consensus value, stacked-rank consistency, image cardinality,
+unit-vector search, fixed-dimension fit and the truncated-mode dimension
+scan)."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +36,8 @@ from netbool.formula import (
     Var,
     evaluate,
 )
-from netbool.linalg import (
-    AffineSubspace,
-    LocalLinearEquation,
-    dist_to_affine,
-)
-from netbool.matricization import itob
+from netbool.linalg import AffineSubspace, dist_to_affine
+from netbool.matricization import LiftedSystem, itob
 from netbool.network import Graph
 
 settings.register_profile(
@@ -182,7 +180,43 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
 # --- centralised references ----------------------------------------------
 
 
-def project_affine(eq: LocalLinearEquation, y: np.ndarray) -> np.ndarray:
+@dataclass
+class Equation:
+    """A general linear equation h y = z with numpy's SVD pseudoinverse of
+    h (singular values below 1e-12 times the largest count as zero): the
+    reference the lift's closed-form ``h_pinv`` and the consensus round's
+    projection are checked against."""
+
+    h: np.ndarray
+    z: np.ndarray
+
+    def __post_init__(self):
+        self.h = np.asarray(self.h, dtype=float)
+        self.z = np.asarray(self.z, dtype=float)
+        self.h_pinv = np.linalg.pinv(self.h, rcond=1e-12)
+
+    @property
+    def dim(self) -> int:
+        return self.h.shape[1]
+
+
+def node_equations(lift: LiftedSystem) -> list[Equation]:
+    """Each node's lifted equation as a general one, pseudoinverse from the
+    SVD."""
+    return [Equation(h, z[:, 0]) for h, z in zip(lift.h, lift.z)]
+
+
+def lifted(eqs: Sequence[Equation]) -> LiftedSystem:
+    """General equations with one row count, stacked the way the consensus
+    round reads a lift."""
+    return LiftedSystem(
+        np.stack([eq.h for eq in eqs]),
+        np.stack([eq.z for eq in eqs])[:, :, None],
+        np.stack([eq.h_pinv for eq in eqs]),
+    )
+
+
+def project_affine(eq: Equation, y: np.ndarray) -> np.ndarray:
     """Project ``y`` onto the affine solution set of ``eq``, one vector at
     a time: the per-node reference for the consensus round's batched
     projection.
@@ -195,14 +229,17 @@ def project_affine(eq: LocalLinearEquation, y: np.ndarray) -> np.ndarray:
     return y - eq.h_pinv @ (eq.h @ y - eq.z)
 
 
-def stack_equations(eqs: Sequence[LocalLinearEquation]) -> LocalLinearEquation:
-    """Single equation equivalent to the whole collection: rows of every
-    h stacked over rows of every z."""
+def stack_equations(eqs: Sequence[Equation] | LiftedSystem) -> Equation:
+    """Single equation equivalent to the whole collection (a lift's node
+    equations or general ones): rows of every h stacked over rows of
+    every z."""
+    if isinstance(eqs, LiftedSystem):
+        eqs = node_equations(eqs)
     if len(eqs) == 0:
         raise ValueError("expected at least one equation")
     h = np.vstack([eq.h for eq in eqs])
     z = np.concatenate([eq.z for eq in eqs])
-    return LocalLinearEquation(h, z)
+    return Equation(h, z)
 
 
 def rank_and_echelon(
@@ -264,7 +301,7 @@ def rank_and_echelon(
 
 
 def central_projected_average(
-    eqs: list[LocalLinearEquation], initials: np.ndarray
+    eqs: Sequence[Equation] | LiftedSystem, initials: np.ndarray
 ) -> np.ndarray:
     """Reference value of a consensus run: the average of the projections
     of the initial states onto the stacked solution set, computed
@@ -276,7 +313,7 @@ def central_projected_average(
 
 
 def stacked_rank_consistent(
-    eqs: list[LocalLinearEquation], pivot_tol: float | None = None
+    eqs: Sequence[Equation] | LiftedSystem, pivot_tol: float | None = None
 ) -> bool:
     """Whether the stacked linear system is solvable: the coefficient
     matrix and the augmented matrix have equal numerical rank."""

@@ -30,12 +30,11 @@ from conftest import (
 )
 from netbool.formula import BooleanSystem
 from netbool.linalg import affine_from_points
-from netbool.matricization import boolean_matricization
+from netbool.matricization import boolean_matricization, lift_system
 from netbool.network import build_weights, consensus, run_to_convergence
 from netbool.search import boolean_vector_search
 from netbool.solver import (
     RunConfig,
-    lift_system,
     oracle_solve,
     solve_approximate,
     solve_exact,

@@ -5,6 +5,7 @@ from conftest import (
     EX1_MATRICES,
     EX1_SAMPLE_OUTPUTS,
     EX2_MATRICES,
+    Equation,
     fixed_dim_fit,
     project_affine,
     rank_and_echelon,
@@ -13,7 +14,6 @@ from conftest import (
 )
 from netbool.linalg import (
     AffineSubspace,
-    LocalLinearEquation,
     affine_from_points,
     best_affine_fit,
     dist_to_affine,
@@ -80,8 +80,8 @@ class TestRankAndEchelon:
 
 
 def h_pinv(a):
-    """The cached h_pinv of the equation a y = 0."""
-    return LocalLinearEquation(a, np.zeros(len(a))).h_pinv
+    """The reference h_pinv of the equation a y = 0."""
+    return Equation(a, np.zeros(len(a))).h_pinv
 
 
 class TestPseudoinverse:
@@ -116,24 +116,24 @@ class TestPseudoinverse:
 
 class TestProjectAffine:
     def test_square_identity(self):
-        eq = LocalLinearEquation(np.eye(2), np.array([3.0, 4.0]))
+        eq = Equation(np.eye(2), np.array([3.0, 4.0]))
         assert np.allclose(project_affine(eq, np.array([9.0, -2.0])), [3.0, 4.0])
 
     def test_fixed_point(self):
-        eq = LocalLinearEquation(np.array([[1.0, 1.0]]), np.array([1.0]))
+        eq = Equation(np.array([[1.0, 1.0]]), np.array([1.0]))
         y = np.array([0.25, 0.75])
         assert np.allclose(project_affine(eq, y), y)
 
     def test_rank_deficient_analytic(self):
         # constraint row picks y1 = 3; the second coordinate is free
-        eq = LocalLinearEquation(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([3.0, 0.0]))
+        eq = Equation(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([3.0, 0.0]))
         assert np.allclose(project_affine(eq, np.array([5.0, 7.0])), [3.0, 7.0])
 
     def test_idempotent_and_consistent(self):
         rng = np.random.default_rng(7)
         h = rng.normal(size=(2, 8))
         z = h @ rng.normal(size=8)  # guaranteed consistent
-        eq = LocalLinearEquation(h, z)
+        eq = Equation(h, z)
         for _ in range(10):
             y = rng.normal(size=8)
             p = project_affine(eq, y)
@@ -143,20 +143,16 @@ class TestProjectAffine:
     def test_non_expansive(self):
         rng = np.random.default_rng(8)
         h = rng.normal(size=(3, 6))
-        eq = LocalLinearEquation(h, h @ rng.normal(size=6))
+        eq = Equation(h, h @ rng.normal(size=6))
         for _ in range(20):
             u, v = rng.normal(size=6), rng.normal(size=6)
             pu, pv = project_affine(eq, u), project_affine(eq, v)
             assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
     def test_dimension_mismatch(self):
-        eq = LocalLinearEquation(np.eye(2), np.zeros(2))
+        eq = Equation(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             project_affine(eq, np.zeros(3))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LocalLinearEquation(np.eye(2), np.zeros(3))
 
 
 class TestAffineFromPoints:
@@ -399,8 +395,8 @@ class TestMinFitDim:
 
 class TestStackEquations:
     def test_stacks_rows(self):
-        e1 = LocalLinearEquation(np.array([[1.0, 0.0]]), np.array([2.0]))
-        e2 = LocalLinearEquation(np.array([[0.0, 1.0]]), np.array([3.0]))
+        e1 = Equation(np.array([[1.0, 0.0]]), np.array([2.0]))
+        e2 = Equation(np.array([[0.0, 1.0]]), np.array([3.0]))
         stacked = stack_equations([e1, e2])
         assert np.array_equal(stacked.h, np.eye(2))
         assert np.array_equal(stacked.z, [2.0, 3.0])

@@ -1,4 +1,6 @@
+import importlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,13 @@ from hypothesis import given
 
 from conftest import EX1_MATRICES, EX2_MATRICES, chi0, formula_strategy
 from netbool.formula import BooleanSystem, Const, Not, Or, Var, evaluate, parse_formula
-from netbool.matricization import boolean_matricization, btoi, itob, unit_vector
+from netbool.matricization import (
+    boolean_matricization,
+    btoi,
+    itob,
+    lift_system,
+    unit_vector,
+)
 
 
 class TestIndexMaps:
@@ -121,6 +129,35 @@ class TestBooleanMatricization:
         assert np.array_equal(dense.sum(axis=0), np.ones(8))
         assert set(np.unique(dense)) <= {0.0, 1.0}
 
+
+class TestClosedFormPseudoinverse:
+    """The lift's h_pinv, H_i^T over the class sizes, against numpy's SVD
+    pseudoinverse of each H_i."""
+
+    @pytest.fixture
+    def workloads(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return importlib.import_module("workloads")
+
+    @staticmethod
+    def assert_matches_pinv(system):
+        lift = lift_system(system)
+        assert lift.h_pinv.shape == (system.n, 2**system.m, 2)
+        for h, h_pinv in zip(lift.h, lift.h_pinv):
+            assert np.abs(h_pinv - np.linalg.pinv(h, rcond=1e-12)).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", ["exact-small", "sat-mixed"])
+    def test_benchmark_corpora(self, workloads, name):
+        for base in workloads.WORKLOADS[name].corpus():
+            texts = [(workloads.render(f), rhs) for f, rhs in base.equations]
+            self.assert_matches_pinv(BooleanSystem.from_texts(base.m, texts))
+
+    def test_constant_formulas(self):
+        # an empty output class gets a zero column, as the SVD gives
+        equations = tuple((Const(c), rhs) for c in (0, 1) for rhs in (0, 1))
+        self.assert_matches_pinv(BooleanSystem(3, equations))
+        lift = lift_system(BooleanSystem(2, ((Const(1), 0),)))
+        assert np.array_equal(lift.h_pinv[0], [[0.0, 0.25]] * 4)
 
 
 class TestChi0:

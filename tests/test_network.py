@@ -7,16 +7,18 @@ import pytest
 from conftest import (
     EX1_TEXTS,
     EX3_TEXTS,
+    Equation,
     central_projected_average,
     complete_graph,
+    lifted,
+    node_equations,
     path_graph,
     project_affine,
     stack_equations,
 )
 from netbool.formula import BooleanSystem
-from netbool.linalg import LocalLinearEquation
+from netbool.matricization import lift_system
 from netbool.network import Graph, build_weights, consensus, run_to_convergence
-from netbool.solver import lift_system
 
 # ex1 with its first equation replaced by the constant 1: one row of that
 # node's H is all zero
@@ -118,13 +120,14 @@ class TestProjectionConsensus:
         assert np.allclose(stepped, states, atol=1e-12)
 
     def test_single_node_is_pure_projection(self):
-        eq = LocalLinearEquation(np.array([[1.0, 0.0]]), np.array([2.0]))
+        eq = Equation(np.array([[1.0, 0.0]]), np.array([2.0]))
         g = Graph(1, frozenset())
-        stepped = next(consensus(build_weights(g, 0.5), np.array([[5.0, 7.0]]), [eq]))
+        stepped = next(consensus(build_weights(g, 0.5), np.array([[5.0, 7.0]]), lifted([eq])))
         assert np.allclose(stepped[0], project_affine(eq, np.array([5.0, 7.0])))
 
     def test_wrong_equation_count(self, path3):
-        rounds = consensus(build_weights(path3, 0.2), np.zeros((3, 8)), [])
+        two = lift_system(BooleanSystem.from_texts(3, EX1_TEXTS[:2]))
+        rounds = consensus(build_weights(path3, 0.2), np.zeros((3, 8)), two)
         with pytest.raises(ValueError, match="expected 3 equations"):
             next(rounds)
 
@@ -173,10 +176,12 @@ class TestProjectionConsensus:
         states = rng.random((3, 8))
         stepped = next(consensus(w, states, eqs))
 
+        # the projectors from numpy's SVD pseudoinverse, not the lift's own
+        reference = node_equations(eqs)
         nullers = np.zeros((3 * 8, 3 * 8))
-        for i, eq in enumerate(eqs):
+        for i, eq in enumerate(reference):
             nullers[8 * i : 8 * (i + 1), 8 * i : 8 * (i + 1)] = np.eye(8) - eq.h_pinv @ eq.h
-        offsets = np.concatenate([eq.h_pinv @ eq.z for eq in eqs])
+        offsets = np.concatenate([eq.h_pinv @ eq.z for eq in reference])
         big = nullers @ np.kron(w, np.eye(8))
         expected = big @ states.ravel() + offsets
         assert np.allclose(stepped.ravel(), expected, atol=1e-12)
@@ -188,13 +193,10 @@ class TestBatchedRuns:
         system = BooleanSystem.from_texts(4, EX1_TEXTS)
         eqs = lift_system(system)
         w = build_weights(path3, 0.3)
-        h = np.stack([eq.h for eq in eqs])
-        h_pinv = np.stack([eq.h_pinv for eq in eqs])
-        z = np.stack([eq.z for eq in eqs])[:, :, None]
         x = np.random.default_rng(11).random((3, 16))
         for stepped in islice(consensus(w, x, eqs), 200):
             x = w @ x
-            x -= (h_pinv @ (h @ x[:, :, None] - z))[:, :, 0]
+            x -= (eqs.h_pinv @ (eqs.h @ x[:, :, None] - eqs.z))[:, :, 0]
             assert stepped.shape == (3, 16)
             assert np.array_equal(stepped, x)
 
@@ -246,6 +248,16 @@ class TestRunToConvergence:
             for j in range(i + 1, 3)
         ]
         assert max(gaps) > 1e-3
+
+    @pytest.mark.parametrize("constant", [("1", 1), ("0", 0), ("1", 0), ("0", 1)])
+    def test_constant_formula_node_stays_finite(self, path3, constant):
+        # a constant f_i leaves one output class empty, so one row of H_i is
+        # zero; its h_pinv column is zero, not a division by the class size
+        eqs = lift_system(BooleanSystem.from_texts(3, [constant] + EX1_TEXTS[1:]))
+        states, _, converged = run_to_convergence(
+            build_weights(path3, 0.3), np.random.default_rng(13).random((3, 8)), eqs, 1e-10, 5000
+        )
+        assert converged and np.isfinite(states).all()
 
     def test_non_convergence_flagged(self, ex1, path3):
         eqs = lift_system(ex1)

@@ -400,6 +400,15 @@ class TestCliTrace:
         last = [float(row[3]) for row in rows[1:] if row[0] == "10"]
         assert all(np.isfinite(v) for v in last)
 
+    def test_negative_rounds_refused(self, ex1_path, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["trace", ex1_path, "--rounds", "-1", "--output", str(out)]) == 1
+        assert main(["trace", ex1_path, "--rounds", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --rounds must be >= 0, got -1\n" * 2
+        assert not out.exists()
+
 
 class TestCliErrors:
     def test_missing_file(self, capsys):
@@ -467,6 +476,18 @@ class TestCliErrors:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(EX1_DOC, config={"epsilon": 0, "seed": 3, "T": 300})))
         assert load_problem(path).config == {"epsilon": 0, "seed": 3, "T": 300}
+
+    @pytest.mark.parametrize("command", ["solve", "solve-approx", "sat", "trace"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed(self, tmp_path, command, source, capsys):
+        path = tmp_path / "seed.json"
+        config = {"seed": -1} if source == "config" else {}
+        path.write_text(json.dumps(dict(EX1_DOC, config=config)))
+        args = [command, str(path)] + (["--T", "50"] if command == "solve-approx" else [])
+        assert main(args + (["--seed", "-1"] if source == "flag" else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("T", ["0", "-1"])
     def test_nonpositive_horizon(self, ex1_path, T, capsys):

@@ -11,6 +11,7 @@ from conftest import (
     EX2_MATRICES,
     central_projected_average,
     chi0,
+    node_equations,
     path_graph,
     project_affine,
     random_connected_graph,
@@ -22,14 +23,13 @@ from conftest import (
 )
 from netbool.formula import BooleanSystem, Const, parse_formula
 from netbool.linalg import affine_from_points, dist_to_affine
-from netbool.matricization import itob
+from netbool.matricization import itob, lift_system
 from netbool import solver
 from netbool.network import Graph
 from netbool.solver import (
     RunConfig,
     distributed_lae,
     estimate_contraction_rate,
-    lift_system,
     oracle_solve,
     solve_approximate,
     solve_exact,
@@ -40,19 +40,16 @@ from netbool.solver import (
 class TestLiftSystem:
     def test_right_hand_sides(self, ex1):
         eqs = lift_system(ex1)
-        assert np.array_equal(eqs[0].z, [0.0, 1.0])
-        assert np.array_equal(eqs[1].z, [1.0, 0.0])
-        assert np.array_equal(eqs[2].z, [1.0, 0.0])
+        assert np.array_equal(eqs.z[:, :, 0], [[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
 
     def test_coefficient_matrices(self, ex2):
         eqs = lift_system(ex2)
-        for eq, expected in zip(eqs, EX2_MATRICES):
-            assert np.array_equal(eq.h, np.array(expected, dtype=float))
+        assert np.array_equal(eqs.h, np.array(EX2_MATRICES, dtype=float))
 
     def test_constant_formula_rank_one(self):
         system = BooleanSystem(2, ((Const(1), 1),))
         eqs = lift_system(system)
-        rank, _, _ = rank_and_echelon(eqs[0].h)
+        rank, _, _ = rank_and_echelon(eqs.h[0])
         assert rank == 1
 
     def test_solutions_lie_in_every_solution_set(self, ex1):
@@ -60,9 +57,8 @@ class TestLiftSystem:
 
         eqs = lift_system(ex1)
         for x in oracle_solve(ex1):
-            e = unit_vector(btoi(x), 8)
-            for eq in eqs:
-                assert np.abs(eq.h @ e - eq.z).max() < 1e-12
+            e = unit_vector(btoi(x), 8)[:, None]
+            assert np.abs(eqs.h @ e - eqs.z).max() < 1e-12
 
 
 class TestDistributedLAE:
@@ -73,7 +69,7 @@ class TestDistributedLAE:
         initials = np.array([[0.3, 0.8, 0.1, 0.9]])
         states, rounds, converged = distributed_lae(eqs, g, RunConfig(), initials)
         assert converged and rounds <= 2
-        assert np.allclose(states[0], project_affine(eqs[0], initials[0]))
+        assert np.allclose(states[0], project_affine(node_equations(eqs)[0], initials[0]))
 
     def test_outputs_solve_every_local_equation(self, ex1, path3):
         eqs = lift_system(ex1)
@@ -83,8 +79,7 @@ class TestDistributedLAE:
         )
         assert converged
         for node_state in states:
-            for eq in eqs:
-                assert np.abs(eq.h @ node_state - eq.z).max() < 1e-8
+            assert np.abs(eqs.h @ node_state[:, None] - eqs.z).max() < 1e-8
 
     def test_matches_central_average(self, ex1, path3):
         eqs = lift_system(ex1)
@@ -605,3 +600,8 @@ class TestRunConfig:
     def test_default_k_star(self):
         assert RunConfig().effective_k_star(3) == 9
         assert RunConfig(k_star=2).effective_k_star(3) == 2
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            RunConfig(seed=-1)
+        assert RunConfig(seed=0).seed == 0
