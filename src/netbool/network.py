@@ -8,9 +8,11 @@ the product W X of the mixing matrix with the stacked states, and row i
 of it reads only node i's neighbors, whose weights alone are nonzero.
 Independent runs on the same network step together as extra columns of
 X: row i then holds node i's states of every run, so a node still reads
-only its own equation and its neighbors' rows.  Rounds are
-deterministic: each is a fixed sequence of array products, so under a
-fixed BLAS identical inputs give bit-identical trajectories.
+only its own equation and its neighbors' rows.  Each ``consensus`` call
+keeps one projection workspace, the residual and correction arrays its
+rounds overwrite, while every round's state is a fresh array.  Rounds
+are deterministic: each is a fixed sequence of array products, so under
+a fixed BLAS identical inputs give bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -115,8 +117,14 @@ def consensus(
     runs live in one C-contiguous (n, d k) array, coordinate-major with
     the run as the fastest axis, so a round is one ``w @ x`` for every run
     and one projection on its (n, d, k) view; one run is the case k = 1,
-    where that array is the (n, d) state itself.  The inputs are checked
-    when the first round is requested.
+    where that array is the (n, d) state itself.  The residual h y - z,
+    (n, r, k) for r-row equations, and the correction h^+ (h y - z),
+    (n, d, k), are one workspace per call: the first round's products
+    allocate them and later rounds write into them, in the same order of
+    operations, so the states are bit-identical to freshly allocated
+    products.  Only ``w @ x`` makes a new array, and each yield is that
+    round's own, never a workspace array: a caller may keep every yield.
+    The inputs are checked when the first round is requested.
     """
     x = np.asarray(states, dtype=float)
     n = w.shape[0]
@@ -131,11 +139,18 @@ def consensus(
     if batched:
         x = x.transpose(1, 2, 0).reshape(n, d * k)  # a C-contiguous copy
     del states  # the rounds read only x: the caller's initials can go
+    resid = step = None  # the projection workspace, from the first round's products
+    # a local name and a positional ``out`` skip a lookup and the keyword
+    # parse: rounds at d <= 16 are mostly interpreter time
+    matmul = np.matmul
     while True:
         x = w @ x
         y = x.reshape(n, d, k)
         if eqs is not None:
-            y -= eqs.h_pinv @ (eqs.h @ y - eqs.z)
+            resid = matmul(eqs.h, y, resid)
+            resid -= eqs.z
+            step = matmul(eqs.h_pinv, resid, step)
+            y -= step
         yield y.transpose(2, 0, 1) if batched else x
 
 

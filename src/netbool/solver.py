@@ -314,8 +314,10 @@ def solve_approximate(
     best fits are nested principal subspaces, so every dimension's summed
     distance comes from the tails of the centred points' principal
     coordinates, and the fit is the first dimension b within budget.  The
-    diagnostics' ``fit_margins`` give, per node, that total over the
-    budget at b and at b - 1 (None when b = 0).
+    diagnostics' ``fit_margins`` give, per node, the total at b - 1 over
+    the budget: how far the first dimension refused sits above it (None
+    when b = 0).  The total at b itself is left out, since it is SVD
+    rounding noise whenever the fit is exact.
     """
     eqs, k, linear, rounds, _ = _linear_stage(system, graph, config, True)
     c_star = 2.0 ** (system.m / 2) * graph.n
@@ -328,14 +330,12 @@ def solve_approximate(
     member_tol = min(max(RANK_TOL, budget / k), 0.25)
 
     fits: list[AffineSubspace] = []
-    fit_margins: list[list[float | None]] = []
+    fit_margins: list[float | None] = []
     for i in range(graph.n):
         fit, totals = best_affine_fit(linear[:, i], budget=budget)
         b = fit.dim
         fits.append(fit)
-        fit_margins.append(
-            [float(totals[b] / budget), float(totals[b - 1] / budget) if b > 0 else None]
-        )
+        fit_margins.append(float(totals[b - 1] / budget) if b > 0 else None)
     return _search_outcome(
         "solve-approx",
         fits,

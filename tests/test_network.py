@@ -14,6 +14,7 @@ from conftest import (
     node_equations,
     path_graph,
     project_affine,
+    random_satisfiable_system,
     stack_equations,
 )
 from netbool.formula import BooleanSystem
@@ -212,6 +213,48 @@ class TestBatchedRuns:
             for j in range(5):
                 assert np.abs(stepped[j] - singles[j][t]).max() < 1e-12
         assert np.array_equal(batch, before)  # the input is not stepped in place
+
+
+def allocating_rounds(w, x, eqs):
+    """The round as a plain formula on the engine's (n, d k) layout, with
+    every product a fresh array: the reference for the workspace round."""
+    batched = x.ndim == 3
+    n, d, k = w.shape[0], x.shape[-1], x.shape[0] if batched else 1
+    x = x.transpose(1, 2, 0).reshape(n, d * k) if batched else x.copy()
+    while True:
+        x = w @ x
+        y = x.reshape(n, d, k)
+        y -= eqs.h_pinv @ (eqs.h @ y - eqs.z)
+        yield y.transpose(2, 0, 1) if batched else x
+
+
+class TestProjectionWorkspace:
+    # the truncated mode's size: m = 7 (d = 128), n = 4, k* = 2^m + 1
+    @pytest.fixture
+    def wide(self):
+        system = random_satisfiable_system(np.random.default_rng(15), 7, 4)
+        return build_weights(path_graph(4), 0.2), lift_system(system)
+
+    @pytest.mark.parametrize("shape", [(129, 4, 128), (4, 128)], ids=["batch", "single"])
+    def test_matches_allocating_round(self, wide, shape):
+        w, eqs = wide
+        x = np.random.default_rng(16).random(shape)
+        engine = islice(consensus(w, x, eqs), 300)
+        for stepped, expected in zip(engine, allocating_rounds(w, x, eqs)):
+            assert np.array_equal(stepped, expected)
+
+    @pytest.mark.parametrize("shape", [(5, 4, 128), (4, 128)], ids=["batch", "single"])
+    def test_kept_yields_stay_unchanged(self, wide, shape):
+        # no workspace array reaches a caller: rounds 1-3, kept while the
+        # generator runs on to round 50, still hold their own states
+        w, eqs = wide
+        rounds = consensus(w, np.random.default_rng(17).random(shape), eqs)
+        kept = list(islice(rounds, 3))
+        copies = [state.copy() for state in kept]
+        for _ in islice(rounds, 47):
+            pass
+        for state, copy in zip(kept, copies):
+            assert np.array_equal(state, copy)
 
 
 class TestRunToConvergence:
