@@ -36,7 +36,6 @@ from .matricization import (
     btoi,
     itob,
     lift_system,
-    unit_vector,
 )
 from .network import Graph, build_weights, consensus, run_to_convergence
 from .problem import ProblemError, ProblemFile, load_problem

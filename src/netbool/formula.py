@@ -1,4 +1,4 @@
-"""Boolean formula AST, text parser, and truth-table utilities.
+"""Boolean formula AST, text parser, and the one evaluator.
 
 A formula is a tree of variables ``x1 .. xm``, the constants ``0``/``1``,
 and the connectives NOT, AND, OR, IMPLIES, IFF.  Concrete syntax::
@@ -14,6 +14,9 @@ and the connectives NOT, AND, OR, IMPLIES, IFF.  Concrete syntax::
 Whitespace is insignificant.  Precedence, tightest first: NOT, AND, OR,
 IMPLIES, IFF.  ``x -> y`` has the truth table of ``!x | y`` and
 ``x <-> y`` that of ``(!x | y) & (!y | x)``.
+
+``evaluate`` is the only evaluator; ``truth_table`` runs it once on the
+bit columns of all 2^m assignments, and the lift and the oracle read that.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Var",
@@ -185,15 +190,17 @@ def parse_formula(text: str, m: int) -> BooleanFormula:
     return _Parser(text, m).parse()
 
 
-def evaluate(f: BooleanFormula, x: Sequence[int]) -> int:
-    """Truth value (0 or 1) of ``f`` at the assignment ``x = [x1, ..., xm]``."""
+def evaluate(f: BooleanFormula, x: Sequence[int] | np.ndarray) -> int | np.ndarray:
+    """Truth value of ``f`` at one assignment ``x = [x1, ..., xm]`` (0 or 1),
+    or at each column of the (m, N) 0/1 array ``x`` in one pass over the
+    tree (N values; a constant formula gives a scalar, which broadcasts)."""
     match f:
         case Var(index):
             if index > len(x):
                 raise ValueError(
                     f"assignment of length {len(x)} has no variable x{index}"
                 )
-            return int(x[index - 1])
+            return x[index - 1]
         case Const(value):
             return value
         case Not(child):
@@ -205,17 +212,18 @@ def evaluate(f: BooleanFormula, x: Sequence[int]) -> int:
         case Implies(left, right):
             return (1 - evaluate(left, x)) | evaluate(right, x)
         case Iff(left, right):
-            return int(evaluate(left, x) == evaluate(right, x))
+            return 1 - (evaluate(left, x) ^ evaluate(right, x))
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def truth_table(f: BooleanFormula, m: int) -> list[int]:
-    """All 2^m truth values of ``f``, entry i (1-based) at the assignment
-    whose bits are the base-2 digits of i-1, x1 most significant."""
-    return [
-        evaluate(f, [(i >> (m - 1 - k)) & 1 for k in range(m)])
-        for i in range(2**m)
-    ]
+def truth_table(f: BooleanFormula, m: int) -> np.ndarray:
+    """All 2^m truth values of ``f`` as an int array, entry i (0-based) at
+    the assignment whose bits are the base-2 digits of i, x1 most
+    significant: one ``evaluate`` on the uint8 (m, 2^m) bit columns."""
+    bits = np.empty((m, 2**m), dtype=np.uint8)
+    for k in range(m):  # row k: 2^k blocks of 2^(m-1-k) zeros, then as many ones
+        bits[k].reshape(2**k, 2, -1)[:] = [[0], [1]]
+    return np.broadcast_to(evaluate(f, bits), 2**m).astype(int)
 
 
 def max_var_index(f: BooleanFormula) -> int:

@@ -30,7 +30,6 @@ from .formula import BooleanFormula, BooleanSystem, truth_table
 __all__ = [
     "btoi",
     "itob",
-    "unit_vector",
     "boolean_matricization",
     "LiftedSystem",
     "lift_system",
@@ -54,24 +53,15 @@ def itob(i: int, m: int) -> list[int]:
     return [(i - 1) >> (m - 1 - k) & 1 for k in range(m)]
 
 
-def unit_vector(i: int, dim: int) -> np.ndarray:
-    """Dense i-th column (1-based) of the dim x dim identity matrix."""
-    if not 1 <= i <= dim:
-        raise ValueError(f"index {i} out of range 1..{dim}")
-    e = np.zeros(dim)
-    e[i - 1] = 1.0
-    return e
-
-
 def boolean_matricization(f: BooleanFormula, m: int) -> np.ndarray:
     """Unit-column matrix of the mapping defined by ``f`` over x1..xm, as a
     dense, C-contiguous 2 x 2^m float array.
 
-    Column i is the unit vector indexed ``f(itob(i)) + 1``, computed by
-    enumerating the truth table.  The result is unique: it depends only on
-    the mapping, not on the particular formula.
+    Column i is the unit vector indexed ``f(itob(i)) + 1``: the rows are
+    1 - t and t for f's truth table t.  The result is unique: it depends
+    only on the mapping, not on the particular formula.
     """
-    values = np.array(truth_table(f, m), dtype=float)
+    values = truth_table(f, m)
     return np.stack([1.0 - values, values])
 
 
@@ -88,7 +78,7 @@ class LiftedSystem:
 
 def lift_system(system: BooleanSystem) -> LiftedSystem:
     """H_i the unit-column matrix of f_i, z_i the unit vector of the
-    required output bit.
+    required output bit, row rhs_i of the 2 x 2 identity.
 
     The rows of H_i are the indicators of f_i's two output classes, so
     H_i H_i^T is the diagonal of the class sizes and H_i^+ is H_i^T with
@@ -96,6 +86,6 @@ def lift_system(system: BooleanSystem) -> LiftedSystem:
     f_i) keeps its zero column, as the SVD pseudoinverse would.
     """
     h = np.stack([boolean_matricization(f, system.m) for f, _ in system.equations])
-    z = np.stack([unit_vector(rhs + 1, 2) for _, rhs in system.equations])[:, :, None]
+    z = np.eye(2)[[rhs for _, rhs in system.equations]][:, :, None]
     h_pinv = h.transpose(0, 2, 1) / np.maximum(h.sum(axis=2), 1)[:, None, :]
     return LiftedSystem(h, z, h_pinv)

@@ -14,7 +14,8 @@ Four entry points:
 * ``verify_satisfiability`` - decide satisfiability with no prior
   knowledge: disagreeing consensus limits expose an inconsistent lifted
   system, an empty search result exposes Boolean unsatisfiability;
-* ``oracle_solve``      - centralized exhaustive enumeration (reference).
+* ``oracle_solve``      - centralized exhaustive reference: the AND of
+  the n equations' truth tables, each one vectorised ``evaluate``.
 
 Both solve modes share one pipeline, ``_linear_stage`` then
 ``_search_outcome``: a node's answer is the unit vectors of its own
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import BooleanSystem
+from .formula import BooleanSystem, truth_table
 from .linalg import (
     AffineSubspace,
     affine_from_points,
@@ -433,11 +434,11 @@ def verify_satisfiability(
 
 
 def oracle_solve(system: BooleanSystem, cap: int = 20) -> set[Assignment]:
-    """Exhaustive reference solver; refuses variable counts above ``cap``."""
+    """Exhaustive reference solver, the AND of the n equations' truth tables;
+    refuses variable counts above ``cap``."""
     if system.m > cap:
         raise ValueError(f"m={system.m} exceeds the enumeration cap {cap}")
-    return {
-        x
-        for i in range(1, 2**system.m + 1)
-        if system.satisfies(x := tuple(itob(i, system.m)))
-    }
+    solved = np.ones(2**system.m, dtype=bool)
+    for f, rhs in system.equations:
+        solved &= truth_table(f, system.m) == rhs
+    return {tuple(itob(i + 1, system.m)) for i in np.flatnonzero(solved).tolist()}

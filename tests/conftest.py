@@ -1,8 +1,9 @@
 """Shared fixtures: the four worked example systems, their published
 sample data, path and complete graphs, seeded random generators for
 systems, formulas and graphs, and the centralised references that tests
-compare the distributed solvers against (general linear equations with
-an SVD pseudoinverse, single-vector projection, echelon rank, stacked
+compare the distributed solvers against (dense unit vectors, the
+assignment-by-assignment oracle, general linear equations with an SVD
+pseudoinverse, single-vector projection, echelon rank, stacked
 equations, consensus value, stacked-rank consistency, image cardinality,
 unit-vector search, fixed-dimension fit and the truncated-mode dimension
 scan)."""
@@ -178,6 +179,25 @@ def random_connected_graph(rng: np.random.Generator, n: int) -> Graph:
 
 
 # --- centralised references ----------------------------------------------
+
+
+def unit_vector(i: int, dim: int) -> np.ndarray:
+    """Dense i-th column (1-based) of the dim x dim identity matrix."""
+    if not 1 <= i <= dim:
+        raise ValueError(f"index {i} out of range 1..{dim}")
+    e = np.zeros(dim)
+    e[i - 1] = 1.0
+    return e
+
+
+def oracle_bruteforce(system: BooleanSystem) -> set[tuple[int, ...]]:
+    """Reference of ``oracle_solve``: every assignment in turn, kept when
+    ``BooleanSystem.satisfies`` holds there."""
+    return {
+        x
+        for i in range(1, 2**system.m + 1)
+        if system.satisfies(x := tuple(itob(i, system.m)))
+    }
 
 
 @dataclass

@@ -132,7 +132,7 @@ class TestEvaluate:
 
 class TestTruthTable:
     def test_negated_single_variable(self):
-        assert truth_table(parse_formula("!x1", 1), 1) == [1, 0]
+        assert truth_table(parse_formula("!x1", 1), 1).tolist() == [1, 0]
 
     def test_conjunction_enumerated(self):
         # oracle: direct evaluation over the eight assignments in index order
@@ -140,11 +140,11 @@ class TestTruthTable:
             x2 & x3 for x1, x2, x3 in itertools.product((0, 1), repeat=3)
         ]
         assert expected == [0, 0, 0, 1, 0, 0, 0, 1]
-        assert truth_table(parse_formula("x2 & x3", 3), 3) == expected
+        assert truth_table(parse_formula("x2 & x3", 3), 3).tolist() == expected
 
     def test_disjunction_with_negation(self):
         f = parse_formula("x1 | x2 | !x3", 3)
-        assert truth_table(f, 3) == [1, 0, 1, 1, 1, 1, 1, 1]
+        assert truth_table(f, 3).tolist() == [1, 0, 1, 1, 1, 1, 1, 1]
 
 
 class TestFormatRoundTrip:
@@ -216,7 +216,35 @@ def _python_text(f) -> str:
             return f"({_python_text(l)} == {_python_text(r)})"
 
 
+def _assert_table_is_python_eval(f, m: int):
+    """``truth_table`` against ``_python_text`` evaluated at every
+    assignment, in index order (x1 most significant)."""
+    table = truth_table(f, m)
+    assert table.shape == (2**m,) and table.dtype.kind == "i"
+    code = compile(_python_text(f), "<formula>", "eval")
+    expected = [int(eval(code, {"x": x})) for x in itertools.product((0, 1), repeat=m)]
+    assert table.tolist() == expected
+
+
 class TestSemantics:
+    @given(formula_strategy(m=4))
+    def test_truth_table_against_python_eval(self, f):
+        _assert_table_is_python_eval(f, 4)
+
+    @pytest.mark.parametrize("m", [8, 9, 10])
+    def test_wide_truth_tables_against_python_eval(self, m):
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            _assert_table_is_python_eval(random_formula(rng, m, depth=5), m)
+
+    @pytest.mark.parametrize(
+        "f, m",
+        [(Const(0), 1), (Const(1), 1), (Const(1), 5), (Not(Const(1)), 3),
+         (Var(1), 1), (Not(Var(1)), 1), (Iff(Var(1), Const(0)), 1)],
+    )
+    def test_constant_and_one_variable_tables(self, f, m):
+        _assert_table_is_python_eval(f, m)
+
     @given(formula_strategy(m=3), st.integers(0, 7))
     def test_against_python_eval(self, f, idx):
         x = [(idx >> 2) & 1, (idx >> 1) & 1, idx & 1]

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import EX1_MATRICES, EX2_MATRICES, chi0, formula_strategy
+from conftest import EX1_MATRICES, EX2_MATRICES, chi0, formula_strategy, unit_vector
 from netbool.formula import BooleanSystem, Const, Not, Or, Var, evaluate, parse_formula
-from netbool.matricization import (
-    boolean_matricization,
-    btoi,
-    itob,
-    lift_system,
-    unit_vector,
-)
+from netbool.matricization import boolean_matricization, btoi, itob, lift_system
 
 
 class TestIndexMaps:

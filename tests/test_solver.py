@@ -12,14 +12,17 @@ from conftest import (
     central_projected_average,
     chi0,
     node_equations,
+    oracle_bruteforce,
     path_graph,
     project_affine,
     random_connected_graph,
+    random_formula,
     random_satisfiable_system,
     rank_and_echelon,
     scan_fit_dim,
     stack_equations,
     stacked_rank_consistent,
+    unit_vector,
 )
 from netbool.formula import BooleanSystem, Const, parse_formula
 from netbool.linalg import affine_from_points, dist_to_affine
@@ -53,7 +56,7 @@ class TestLiftSystem:
         assert rank == 1
 
     def test_solutions_lie_in_every_solution_set(self, ex1):
-        from netbool.matricization import btoi, unit_vector
+        from netbool.matricization import btoi
 
         eqs = lift_system(ex1)
         for x in oracle_solve(ex1):
@@ -497,14 +500,16 @@ EX1_SOLUTIONS = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1))
 
 class TestNodeLocality:
     """Every node answers from its own equation and its neighbours' states:
-    no solve path may evaluate the whole system."""
+    no solve path may evaluate the whole system, at one assignment or
+    through the oracle's tables."""
 
     @pytest.fixture(autouse=True)
     def whole_system_unreadable(self, monkeypatch):
-        def refuse(system, x):
+        def refuse(*args, **kwargs):
             raise AssertionError("a solve path evaluated every equation")
 
         monkeypatch.setattr(BooleanSystem, "satisfies", refuse)
+        monkeypatch.setattr(solver, "oracle_solve", refuse)
 
     @pytest.mark.parametrize("name, expected", [("ex1", EX1_SOLUTIONS), ("ex3", ()), ("ex4", ())])
     def test_solve_exact(self, request, path3, name, expected):
@@ -589,6 +594,32 @@ class TestOracleSolve:
         small = BooleanSystem.from_texts(2, [("x1 & x2", 1)])
         with pytest.raises(ValueError, match="cap"):
             oracle_solve(small, cap=1)
+
+    def test_matches_bruteforce_on_random_systems(self):
+        rng = np.random.default_rng(16)
+        for trial in range(200):
+            m, n = 1 + trial % 6, int(rng.integers(1, 7))
+            if trial % 2:
+                system = random_satisfiable_system(rng, m, n)
+            else:
+                system = BooleanSystem(m, tuple(
+                    (random_formula(rng, m), int(rng.integers(0, 2))) for _ in range(n)
+                ))
+            assert oracle_solve(system) == oracle_bruteforce(system), f"trial {trial}"
+
+    def test_at_the_cap(self):
+        # 2^20 assignments: the uint8 bit columns take 20 MB and each
+        # table 8 MB; int64 bit columns alone would take 160 MB
+        conjunction = " & ".join(f"x{k}" for k in range(1, 21))
+        system = BooleanSystem.from_texts(20, [(conjunction, 1), ("x1 -> !x20", 0)])
+        tracemalloc.start()
+        try:
+            solutions = oracle_solve(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solutions == {(1,) * 20}
+        assert peak < 48 * 2**20
 
 
 class TestRunConfig:
