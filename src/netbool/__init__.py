@@ -28,7 +28,6 @@ from .linalg import (
     AffineSubspace,
     affine_from_points,
     best_affine_fit,
-    dist_to_affine,
 )
 from .matricization import (
     LiftedSystem,

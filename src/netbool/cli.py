@@ -14,8 +14,9 @@ it takes exactly those as flags and as problem-file config keys.
 
 The result document (JSON), or the trace CSV, goes to stdout (or
 ``--output``).  Exit status: 0 on success, 2 when ``sat`` returns
-unsatisfiable, 3 when the outcome is undecided, 1 on input errors and on a
-``--verify`` mismatch (1 outranks 3, and 3 outranks 2).
+unsatisfiable, 3 when the outcome is undecided, 1 on input errors (a
+problem too large for memory is one) and on a ``--verify`` mismatch (1
+outranks 3, and 3 outranks 2).
 Identical problem files and seeds produce byte-identical documents.
 An outcome is undecided when the solver lists reasons in its
 ``undecided`` field (the nodes' solution sets disagree, a consensus stage
@@ -36,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .formula import FormulaSyntaxError
 from .matricization import lift_system
 from .network import build_weights, consensus
 from .problem import ProblemError, ProblemFile, load_problem, merge_config
@@ -165,7 +165,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ProblemError, FormulaSyntaxError, OSError, ValueError) as exc:
+    # ProblemError and FormulaSyntaxError are ValueErrors; a MemoryError is
+    # a problem too large to hold, such as the 2^m bit columns at m = 48
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,20 +29,12 @@ class AffineSubspace:
     its direction space (``basis`` has one direction per row; zero rows
     means a single point)."""
 
-    dim_ambient: int
-    offset: np.ndarray
-    basis: np.ndarray  # shape (dim, dim_ambient), orthonormal rows
+    offset: np.ndarray  # shape (d,)
+    basis: np.ndarray  # shape (dim, d), orthonormal rows
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-    def project(self, y: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of ``y`` onto the subspace."""
-        r = np.asarray(y, dtype=float) - self.offset
-        if self.dim == 0:
-            return self.offset.copy()
-        return self.offset + self.basis.T @ (self.basis @ r)
 
 
 def affine_from_points(points: Sequence[np.ndarray], tol: float) -> AffineSubspace:
@@ -58,17 +50,18 @@ def affine_from_points(points: Sequence[np.ndarray], tol: float) -> AffineSubspa
         raise ValueError("expected at least one point")
     centroid = pts.mean(axis=0)
     _, s, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    return AffineSubspace(pts.shape[1], centroid, vt[s > tol].copy())
+    return AffineSubspace(centroid, vt[s > tol].copy())
 
 
 def dist_to_affine(y: np.ndarray, a: AffineSubspace) -> float:
     """Euclidean distance from ``y`` to the subspace ``a``."""
     y = np.asarray(y, dtype=float)
-    if y.shape != (a.dim_ambient,):
+    if y.shape != a.offset.shape:
         raise ValueError(
-            f"expected a vector of length {a.dim_ambient}, got shape {y.shape}"
+            f"expected a vector of length {a.offset.size}, got shape {y.shape}"
         )
-    return float(np.linalg.norm(y - a.project(y)))
+    r = y - a.offset
+    return float(np.linalg.norm(r - a.basis.T @ (a.basis @ r)))
 
 
 def best_affine_fit(
@@ -107,4 +100,4 @@ def best_affine_fit(
     totals = np.zeros(d + 1)
     totals[: s.size] = np.sqrt(tails).sum(axis=0)
     b = int(np.count_nonzero(totals > budget))
-    return AffineSubspace(d, centroid, vt[:b].copy()), totals
+    return AffineSubspace(centroid, vt[:b].copy()), totals

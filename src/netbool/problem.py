@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .formula import BooleanSystem, FormulaSyntaxError
+from .formula import BooleanSystem
 from .network import Graph
 from .solver import RunConfig
 
@@ -46,26 +46,26 @@ def _is_int(value: Any) -> bool:
 
 @dataclass(frozen=True)
 class ProblemFile:
-    m: int
-    equations: tuple[tuple[str, int], ...]  # (formula text, right-hand side)
-    edges: tuple[tuple[int, int], ...]
+    """A validated problem file: the system and the network that
+    ``load_problem`` built to check it, and the config overrides."""
+
+    _system: BooleanSystem
+    _graph: Graph
     config: dict[str, Any]
 
     @property
+    def m(self) -> int:
+        return self._system.m
+
+    @property
     def n(self) -> int:
-        return len(self.equations)
+        return self._system.n
 
     def system(self) -> BooleanSystem:
-        try:
-            return BooleanSystem.from_texts(self.m, self.equations)
-        except (FormulaSyntaxError, ValueError) as exc:
-            raise ProblemError(str(exc)) from exc
+        return self._system
 
     def graph(self) -> Graph:
-        try:
-            return Graph.from_edge_list(self.n, self.edges)
-        except ValueError as exc:
-            raise ProblemError(str(exc)) from exc
+        return self._graph
 
 
 def load_problem(path: str | Path) -> ProblemFile:
@@ -127,11 +127,12 @@ def load_problem(path: str | Path) -> ProblemFile:
             kind = "a number" if key == "epsilon" else "an integer"
             raise ProblemError(f"{path}: config {key!r} must be {kind}, got {value!r}")
 
-    problem = ProblemFile(m, tuple(equations), tuple(edges), dict(config))
-    # fail fast on formulas and graph structure
-    problem.system()
-    problem.graph()
-    return problem
+    try:
+        system = BooleanSystem.from_texts(m, equations)
+        graph = Graph.from_edge_list(len(equations), edges)
+    except ValueError as exc:  # FormulaSyntaxError is one
+        raise ProblemError(str(exc)) from exc
+    return ProblemFile(system, graph, dict(config))
 
 
 def merge_config(problem: ProblemFile, overrides: dict[str, Any]) -> RunConfig:

@@ -28,7 +28,7 @@ configurations produce identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import islice
 from typing import Sequence
@@ -67,6 +67,8 @@ CONSENSUS_TOL = 1e-10
 DISAGREEMENT_TOL = 1e-6
 # exact hulls' rank threshold; also floors the truncated fit's budget and slack
 RANK_TOL = 1e-6
+# most variables ``oracle_solve`` enumerates: 2^20 assignments
+ORACLE_CAP = 20
 
 
 @dataclass
@@ -91,6 +93,16 @@ class RunConfig:
     max_rounds: int = 5000
 
     def __post_init__(self):
+        # a problem file's type rules, for callers that build the config
+        # themselves: ``bool`` subclasses ``int``, but True is no count, and
+        # None is refused where it is not the default
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = f.name == "epsilon" and isinstance(value, float)
+            integer = isinstance(value, int) and not isinstance(value, bool)
+            if not (number or integer or value is f.default is None):
+                kind = "a number" if f.name == "epsilon" else "an integer"
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         # numpy's own refusal of a negative seed names no parameter
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -127,14 +139,15 @@ class SolveOutcome:
 
 
 def distributed_lae(
-    eqs: LiftedSystem,
+    eqs: LiftedSystem | None,
     graph: Graph,
     config: RunConfig,
     initials: np.ndarray,
 ) -> tuple[np.ndarray, int, bool]:
     """Projection-consensus runs of the network linear equation from
     ``initials``: one run's (n, d) states, or with ``T`` set a batch of k
-    runs as (k, n, d) that step together.
+    runs as (k, n, d) that step together.  With ``eqs`` None the runs are
+    the plain network average.
 
     With ``config.T`` unset, ``run_to_convergence`` iterates one run until
     the per-round state change drops below ``CONSENSUS_TOL`` (or
@@ -215,9 +228,12 @@ def _search_outcome(
 ) -> SolveOutcome:
     """Each node's solution set is exactly the unit vectors within ``tol``
     of its own subspace, as assignments; ``nodes_agree`` says whether all
-    nodes found the same set, and the outcome reports node 1's.  Nodes
-    that disagree leave the outcome undecided, after the linear stage's
-    own ``undecided`` reasons."""
+    nodes found the same set, and the outcome reports node 1's.  After the
+    linear stage's own ``undecided`` reasons, nodes that disagree leave the
+    outcome undecided, and so does each node whose subspace has dimension
+    below 2^m - n - 1: every lifted equation's two rows sum to the ones
+    vector, so the stacked H has rank at most n + 1, and a consistent
+    lift's solution set has at least that dimension."""
     per_node = tuple(
         tuple(_assignment(i, m) for i in sorted(boolean_vector_search(sub, tol)))
         for sub in subspaces
@@ -226,6 +242,13 @@ def _search_outcome(
     diagnostics["nodes_agree"] = agree
     if not agree:
         undecided += ("nodes disagree (nodes_agree is false)",)
+    floor = 2**m - len(subspaces) - 1
+    undecided += tuple(
+        f"node {i}'s subspace has dimension {sub.dim}, below the floor "
+        f"2^m - n - 1 = {floor}"
+        for i, sub in enumerate(subspaces, start=1)
+        if sub.dim < floor
+    )
     return SolveOutcome(
         mode=mode,
         solutions=per_node[0],
@@ -376,19 +399,13 @@ def verify_satisfiability(
     config = config or RunConfig()
     _check_inputs(system, graph, config, False)
     eqs = lift_system(system)
-    d = 2**system.m
     rng = np.random.default_rng(config.seed)
-    w = build_weights(graph, config.effective_epsilon(graph.n))
 
-    # stage one: per-node projection-consensus limits
-    initials = rng.random((graph.n, d))
-    limits, limit_rounds, limits_converged = run_to_convergence(
-        w, initials, eqs, CONSENSUS_TOL, config.max_rounds
-    )
-    # average the limits over the network itself
-    averaged, avg_rounds, avg_converged = run_to_convergence(
-        w, limits, None, CONSENSUS_TOL, config.max_rounds
-    )
+    # stage one: per-node projection-consensus limits, then the network's
+    # own average of them
+    initials = rng.random((graph.n, 2**system.m))
+    limits, limit_rounds, limits_converged = distributed_lae(eqs, graph, config, initials)
+    averaged, avg_rounds, avg_converged = distributed_lae(None, graph, config, limits)
     node_gaps = np.abs(averaged - limits).max(axis=1)
     node_flags = node_gaps > DISAGREEMENT_TOL
     diagnostics = {
@@ -433,11 +450,11 @@ def verify_satisfiability(
     )
 
 
-def oracle_solve(system: BooleanSystem, cap: int = 20) -> set[Assignment]:
+def oracle_solve(system: BooleanSystem) -> set[Assignment]:
     """Exhaustive reference solver, the AND of the n equations' truth tables;
-    refuses variable counts above ``cap``."""
-    if system.m > cap:
-        raise ValueError(f"m={system.m} exceeds the enumeration cap {cap}")
+    refuses variable counts above ``ORACLE_CAP``."""
+    if system.m > ORACLE_CAP:
+        raise ValueError(f"m={system.m} exceeds the enumeration cap {ORACLE_CAP}")
     solved = np.ones(2**system.m, dtype=bool)
     for f, rhs in system.equations:
         solved &= truth_table(f, system.m) == rhs

@@ -368,7 +368,7 @@ def boolean_vector_search_bruteforce(points: np.ndarray, tol: float = 1e-6) -> s
     offset = pts[0].copy()
     rank, echelon, _ = rank_and_echelon((pts[1:] - offset).T, tol)
     basis = np.linalg.qr(echelon)[0].T if rank else np.zeros((0, d))
-    hull = AffineSubspace(d, offset, basis)
+    hull = AffineSubspace(offset, basis)
     return {i + 1 for i in range(d) if dist_to_affine(np.eye(d)[i], hull) <= tol}
 
 
@@ -387,9 +387,9 @@ def fixed_dim_fit(points: np.ndarray, target_dim: int) -> AffineSubspace:
         raise ValueError(f"target dimension {target_dim} out of range 0..{d}")
     centroid = pts.mean(axis=0)
     if target_dim == 0:
-        return AffineSubspace(d, centroid, np.zeros((0, d)))
+        return AffineSubspace(centroid, np.zeros((0, d)))
     _, _, vt = np.linalg.svd(pts - centroid, full_matrices=True)
-    return AffineSubspace(d, centroid, vt[:target_dim].copy())
+    return AffineSubspace(centroid, vt[:target_dim].copy())
 
 
 def scan_fit_dim(points: np.ndarray, budget: float) -> int:

@@ -243,7 +243,7 @@ class TestDistToAffine:
         a = affine_from_points(pts, 1e-8)
         for _ in range(10):
             y = rng.normal(size=6)
-            proj = a.project(y)
+            proj = a.offset + a.basis.T @ (a.basis @ (y - a.offset))
             assert dist_to_affine(y, a) == pytest.approx(np.linalg.norm(y - proj))
             assert dist_to_affine(proj, a) < 1e-9
 
@@ -315,7 +315,7 @@ class TestBestAffineFit:
         best = sum(dist_to_affine(p, fit) ** 2 for p in pts)
         for _ in range(25):
             q = np.linalg.qr(rng.normal(size=(5, 2)))[0].T
-            rival = AffineSubspace(5, pts.mean(axis=0) + 0.1 * rng.normal(size=5), q)
+            rival = AffineSubspace(pts.mean(axis=0) + 0.1 * rng.normal(size=5), q)
             rival_cost = sum(dist_to_affine(p, rival) ** 2 for p in pts)
             assert best <= rival_cost + 1e-12
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netbool import formula
 from netbool.cli import _build_parser, main
+from netbool.formula import parse_formula
 from netbool.problem import ProblemError, load_problem, merge_config
 from netbool.solver import RunConfig, solve_approximate, solve_exact, verify_satisfiability
 
@@ -58,6 +60,21 @@ class TestLoadProblem:
         system = problem.system()
         graph = problem.graph()
         assert system.n == graph.n == 3
+
+    def test_one_parse_per_formula(self, ex1_path, monkeypatch):
+        # the system and graph built to validate the file are the ones
+        # system() and graph() hand out
+        parses = []
+
+        def counting(text, m):
+            parses.append(text)
+            return parse_formula(text, m)
+
+        monkeypatch.setattr(formula, "parse_formula", counting)
+        problem = load_problem(ex1_path)
+        assert problem.system() is problem.system()
+        assert problem.graph() is problem.graph()
+        assert len(parses) == problem.n == 3
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -201,16 +218,28 @@ LIMITS = "limit consensus hit max_rounds (limits_converged is false)"
 AVERAGE = "network average hit max_rounds (average_converged is false)"
 
 
+def below_floor(dim: int) -> list[str]:
+    """The dimension floor's reasons on ex1 or ex2 (m = n = 3, floor 4) when
+    every node's subspace has dimension ``dim``."""
+    return [
+        f"node {i}'s subspace has dimension {dim}, below the floor 2^m - n - 1 = 4"
+        for i in (1, 2, 3)
+    ]
+
+
 class TestCliWarnings:
     @pytest.mark.parametrize(
         "args, undecided, verdict",
         [
             (["solve", "ex1.json", "--max-rounds", "1"], [CONVERGED, DISAGREE], None),
-            (["solve-approx", "ex2.json", "--T", "2", "--seed", "1"], [DISAGREE], None),
+            (["solve-approx", "ex2.json", "--T", "2", "--seed", "1"],
+             [DISAGREE, *below_floor(0)], None),
+            # 4 runs span only 3 of ex1's 4 hull dimensions: the nodes agree on []
+            (["solve", "ex1.json", "--seed", "7", "--k-star", "4"], below_floor(3), None),
             # exit 3 outranks the unsatisfiable verdict's 2
             (["sat", "ex1.json", "--max-rounds", "1"], [LIMITS, AVERAGE], "unsatisfiable"),
         ],
-        ids=["solve", "solve-approx", "sat"],
+        ids=["solve", "solve-approx", "solve-undersampled", "sat"],
     )
     def test_undecided_outcome_warns(self, args, undecided, verdict, capsys):
         command, name, *flags = args
@@ -476,6 +505,7 @@ class TestCliErrors:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(EX1_DOC, config={"epsilon": 0, "seed": 3, "T": 300})))
         assert load_problem(path).config == {"epsilon": 0, "seed": 3, "T": 300}
+        assert merge_config(load_problem(path), {}).epsilon == 0
 
     @pytest.mark.parametrize("command", ["solve", "solve-approx", "sat", "trace"])
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -488,6 +518,20 @@ class TestCliErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "args", [["solve"], ["solve-approx", "--T", "2"], ["sat"], ["trace"]], ids=lambda a: a[0]
+    )
+    def test_too_large_for_memory(self, tmp_path, args, capsys):
+        # the (48, 2^48) uint8 bit columns take 12 PiB, more than any address
+        # space holds, so the allocation fails before it touches memory
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(EX1_DOC, m=48)))
+        command, *flags = args
+        assert main([command, str(path), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("T", ["0", "-1"])
     def test_nonpositive_horizon(self, ex1_path, T, capsys):

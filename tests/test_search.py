@@ -118,7 +118,7 @@ class TestDistanceIdentity:
                 push = rng.normal(size=d)
                 offset = np.eye(d)[int(rng.integers(0, d))]
                 offset += 2 * tol * rng.random() * push / np.linalg.norm(push)
-                hull = AffineSubspace(d, offset, basis)
+                hull = AffineSubspace(offset, basis)
                 expected = {
                     i + 1 for i in range(d) if dist_to_affine(np.eye(d)[i], hull) <= tol
                 }

@@ -400,7 +400,11 @@ class TestUndecided:
     def test_disagreeing_nodes(self, ex2, path3):
         outcome = solve_approximate(ex2, path3, RunConfig(T=2, seed=1, k_star=5))
         assert not outcome.diagnostics["nodes_agree"]
-        assert outcome.undecided == ("nodes disagree (nodes_agree is false)",)
+        assert outcome.undecided == (
+            "nodes disagree (nodes_agree is false)",
+            *(f"node {i}'s subspace has dimension 0, below the floor 2^m - n - 1 = 4"
+              for i in (1, 2, 3)),
+        )
 
 
 class TestSearchThreshold:
@@ -495,6 +499,38 @@ class TestMissedSolutionRegression:
         assert outcome.diagnostics["nodes_agree"]
 
 
+# approx-wide benchmark document (workload seed 1, third problem): at
+# T = 300 the runs are close to their limits, but the c*/gamma* budget is
+# so loose that every node's fit drops real hull directions, dimension 121
+# where the solution set has 123, and every node agrees on 0 of the 16
+# solutions; the dimension floor 2^7 - 4 - 1 leaves that undecided
+DROPPED_DIMENSIONS_DOC = {
+    "m": 7,
+    "equations": [
+        ("(x1 | !(x7 <-> x4))", 1),
+        ("(!x6 <-> x5)", 1),
+        ("(!x4 | (!0 & (x1 & 0)))", 1),
+        ("(((!x3 <-> x1) | (x7 -> x4)) -> x4)", 0),
+    ],
+    "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [3, 4]],
+    "config": {"T": 300, "seed": 1442800837},
+}
+
+
+def test_dropped_dimensions_are_undecided():
+    doc = DROPPED_DIMENSIONS_DOC
+    system = BooleanSystem.from_texts(doc["m"], doc["equations"])
+    graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+    outcome = solve_approximate(system, graph, RunConfig(**doc["config"]))
+    assert len(oracle_solve(system)) == 16
+    assert outcome.solutions == () and outcome.diagnostics["nodes_agree"]
+    assert outcome.diagnostics["fitted_dims"] == [121] * 4
+    assert outcome.undecided == tuple(
+        f"node {i}'s subspace has dimension 121, below the floor 2^m - n - 1 = 123"
+        for i in (1, 2, 3, 4)
+    )
+
+
 EX1_SOLUTIONS = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1))
 
 
@@ -567,6 +603,23 @@ class TestTracerContract:
         lae = [s for s in tracer.spans if s.name == "network.lae"]
         assert lae and all(s.counters["n"] == 3 for s in lae)
 
+    def test_sat_stage_one_runs_through_distributed_lae(self, tracing, ex3, path3):
+        # ex3's lift is inconsistent, so stage one alone runs: the limits,
+        # then their network average, each one distributed_lae call
+        tracer = tracing.Tracer()
+        tracer.install(solver)
+        try:
+            outcome = solver.verify_satisfiability(ex3, path3, RunConfig(seed=3))
+        finally:
+            tracer.uninstall(solver)
+        assert outcome.stage == "consensus-disagreement"
+        runs = [s for s in tracer.spans if s.parent < 0 and s.name.startswith("network.")]
+        assert [s.name for s in runs] == ["network.lae"] * 2
+        assert [s.counters["rounds"] for s in runs] == [
+            outcome.diagnostics["limit_rounds"],
+            outcome.diagnostics["average_rounds"],
+        ]
+
     def test_batched_pass_counts_run_rounds(self, tracing, ex1, path3):
         # the k* truncated runs are one span, whose rounds still count every
         # run's rounds, so network.rounds and node_rounds keep their meaning
@@ -591,9 +644,6 @@ class TestOracleSolve:
         system = BooleanSystem(21, ((parse_formula("x21", 21), 1),))
         with pytest.raises(ValueError, match="cap"):
             oracle_solve(system)
-        small = BooleanSystem.from_texts(2, [("x1 & x2", 1)])
-        with pytest.raises(ValueError, match="cap"):
-            oracle_solve(small, cap=1)
 
     def test_matches_bruteforce_on_random_systems(self):
         rng = np.random.default_rng(16)
@@ -630,6 +680,24 @@ class TestRunConfig:
     def test_default_k_star(self):
         assert RunConfig().effective_k_star(3) == 9
         assert RunConfig(k_star=2).effective_k_star(3) == 2
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("T", True, "an integer"),
+            ("T", 2.5, "an integer"),
+            ("k_star", 3.0, "an integer"),
+            ("seed", 1.5, "an integer"),
+            ("seed", None, "an integer"),
+            ("max_rounds", True, "an integer"),
+            ("epsilon", True, "a number"),
+            ("epsilon", "0.2", "a number"),
+        ],
+    )
+    def test_field_types_refused(self, field, value, kind):
+        # the problem file's rules hold for configs built in Python too
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value!r}$"):
+            RunConfig(**{field: value})
 
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
