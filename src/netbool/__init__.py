@@ -26,7 +26,6 @@ from .formula import (
 )
 from .linalg import (
     AffineSubspace,
-    affine_from_points,
     best_affine_fit,
 )
 from .matricization import (

@@ -19,8 +19,9 @@ problem too large for memory is one) and on a ``--verify`` mismatch (1
 outranks 3, and 3 outranks 2).
 Identical problem files and seeds produce byte-identical documents.
 An outcome is undecided when the solver lists reasons in its
-``undecided`` field (the nodes' solution sets disagree, a consensus stage
-hit ``max_rounds``); the document carries them as its ``undecided`` list,
+``undecided`` field (the nodes' solution sets disagree, a node's subspace
+fails the dimension floor or the rank gap, a consensus stage hit
+``max_rounds``); the document carries them as its ``undecided`` list,
 and ``solve``, ``solve-approx`` and ``sat`` print one ``warning:`` line
 per reason to stderr.
 """

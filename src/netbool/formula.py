@@ -274,13 +274,19 @@ class BooleanSystem:
     equations: tuple[tuple[BooleanFormula, int], ...]
 
     def __post_init__(self):
+        # a problem file's type rules: ``bool`` subclasses ``int`` and
+        # 1.0 == 1, but neither is an integer count or right-hand side
+        if type(self.m) is not int:
+            raise ValueError(f"variable count must be an integer, got {self.m!r}")
         if self.m < 1:
             raise ValueError(f"variable count must be >= 1, got {self.m}")
         if len(self.equations) < 1:
             raise ValueError("a system needs at least one equation")
         for k, (f, rhs) in enumerate(self.equations):
-            if rhs not in (0, 1):
-                raise ValueError(f"right-hand side of equation {k + 1} must be 0 or 1")
+            if type(rhs) is not int or rhs not in (0, 1):
+                raise ValueError(
+                    f"right-hand side of equation {k + 1} must be 0 or 1, got {rhs!r}"
+                )
             top = max_var_index(f)
             if top > self.m:
                 raise ValueError(

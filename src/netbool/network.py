@@ -36,9 +36,15 @@ class Graph:
     edges: frozenset[tuple[int, int]]  # pairs (i, j) with i < j
 
     def __post_init__(self):
+        # a problem file's type rules: ``bool`` subclasses ``int``, but True
+        # is no node id, and int() would truncate 1.7 to node 1
+        if type(self.n) is not int:
+            raise ValueError(f"node count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("a graph needs at least one node")
         for i, j in self.edges:
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"invalid edge ({i!r}, {j!r}): node ids must be integers")
             if not (1 <= i < j <= self.n):
                 raise ValueError(f"invalid edge ({i}, {j}) for n={self.n}")
         if not self._connected():
@@ -46,11 +52,13 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, n: int, pairs: Sequence[Sequence[int]]) -> "Graph":
-        """Build from 1-based [i, j] pairs; orientation and duplicates are
-        normalized away, self-loops rejected."""
+        """Build from 1-based [i, j] pairs of integers; orientation and
+        duplicates are normalized away, self-loops rejected."""
         edges = set()
         for pair in pairs:
-            i, j = int(pair[0]), int(pair[1])
+            if len(pair) != 2:
+                raise ValueError(f"invalid edge {list(pair)!r}: expected a pair [i, j]")
+            i, j = pair
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
             edges.add((min(i, j), max(i, j)))

@@ -8,18 +8,20 @@ Four entry points:
 * ``solve_exact``       - run consensus to numerical convergence, search
   the hull of the resulting solutions (requires a satisfiable system);
 * ``solve_approximate`` - consensus truncated to T rounds per run, all
-  runs stepped as one batch; each node fits a minimal-dimension affine
-  subspace to its own approximate solutions under an exponential error
-  budget, from one thin SVD, then searches that;
+  runs stepped as one batch; each node takes the same affine subspace of
+  its outputs, at a threshold raised to the per-run bound on their
+  distance from the limits, then searches that;
 * ``verify_satisfiability`` - decide satisfiability with no prior
   knowledge: disagreeing consensus limits expose an inconsistent lifted
   system, an empty search result exposes Boolean unsatisfiability;
 * ``oracle_solve``      - centralized exhaustive reference: the AND of
   the n equations' truth tables, each one vectorised ``evaluate``.
 
-Both solve modes share one pipeline, ``_linear_stage`` then
-``_search_outcome``: a node's answer is the unit vectors of its own
-subspace, and only ``oracle_solve`` evaluates the whole system.
+Both solve modes share one pipeline, ``_linear_stage``, then one
+``best_affine_fit`` per node, then ``_search_outcome``: a node's answer is
+the unit vectors of its own subspace, and only ``oracle_solve`` evaluates
+the whole system.  The modes differ in their stop rule and in the rank
+threshold that follows from it.
 
 All randomness flows from the seed in ``RunConfig``; identical
 configurations produce identical outputs.
@@ -38,7 +40,6 @@ import numpy as np
 from .formula import BooleanSystem, truth_table
 from .linalg import (
     AffineSubspace,
-    affine_from_points,
     best_affine_fit,
     dist_to_affine,  # noqa: F401  unused; perfbench/tracing.py wraps this name
 )
@@ -65,8 +66,12 @@ CONSENSUS_TOL = 1e-10
 # gap between a node's consensus limit and the network average above which
 # satisfiability verification calls the lifted system inconsistent
 DISAGREEMENT_TOL = 1e-6
-# exact hulls' rank threshold; also floors the truncated fit's budget and slack
+# exact hulls' rank threshold; also floors the truncated mode's threshold
 RANK_TOL = 1e-6
+# smallest kept over largest dropped singular value below which a node's
+# subspace leaves the outcome undecided: the rank threshold then splits no
+# clear gap, so the subspace may have lost a real direction or kept noise
+GAP_MIN = 100.0
 # most variables ``oracle_solve`` enumerates: 2^20 assignments
 ORACLE_CAP = 20
 
@@ -124,8 +129,9 @@ class SolveOutcome:
     consensus outputs that the search consumed.  ``verdict``/``stage`` are
     set by satisfiability verification.  ``undecided`` holds one short
     reason per condition that keeps the outcome from being an answer (the
-    nodes' sets disagree, a consensus run hit ``max_rounds``); it is empty
-    exactly when the outcome is decided.
+    nodes' sets disagree, a node's subspace fails the dimension floor or
+    the rank gap, a consensus run hit ``max_rounds``); it is empty exactly
+    when the outcome is decided.
     """
 
     mode: str
@@ -219,7 +225,7 @@ def _assignment(i: int, m: int) -> Assignment:
 
 def _search_outcome(
     mode: str,
-    subspaces: Sequence[AffineSubspace],
+    fits: Sequence[tuple[AffineSubspace, float | None]],
     tol: float,
     m: int,
     linear: np.ndarray,
@@ -228,12 +234,17 @@ def _search_outcome(
 ) -> SolveOutcome:
     """Each node's solution set is exactly the unit vectors within ``tol``
     of its own subspace, as assignments; ``nodes_agree`` says whether all
-    nodes found the same set, and the outcome reports node 1's.  After the
-    linear stage's own ``undecided`` reasons, nodes that disagree leave the
-    outcome undecided, and so does each node whose subspace has dimension
-    below 2^m - n - 1: every lifted equation's two rows sum to the ones
-    vector, so the stacked H has rank at most n + 1, and a consistent
-    lift's solution set has at least that dimension."""
+    nodes found the same set, and the outcome reports node 1's.  ``fits``
+    holds each node's ``best_affine_fit``, its subspace and rank gap, and
+    the gaps are reported as ``rank_gaps``.  After the linear stage's own
+    ``undecided`` reasons, nodes that disagree leave the outcome
+    undecided, and so does each node whose subspace has dimension below
+    2^m - n - 1 (every lifted equation's two rows sum to the ones vector,
+    so the stacked H has rank at most n + 1, and a consistent lift's
+    solution set has at least that dimension) or whose rank gap is below
+    ``GAP_MIN``."""
+    subspaces, gaps = zip(*fits)
+    diagnostics["rank_gaps"] = list(gaps)
     per_node = tuple(
         tuple(_assignment(i, m) for i in sorted(boolean_vector_search(sub, tol)))
         for sub in subspaces
@@ -248,6 +259,11 @@ def _search_outcome(
         f"2^m - n - 1 = {floor}"
         for i, sub in enumerate(subspaces, start=1)
         if sub.dim < floor
+    )
+    undecided += tuple(
+        f"node {i}'s rank gap {gap:.3g} is below {GAP_MIN:g}"
+        for i, gap in enumerate(gaps, start=1)
+        if gap is not None and gap < GAP_MIN
     )
     return SolveOutcome(
         mode=mode,
@@ -267,17 +283,17 @@ def solve_exact(
     Runs k* independent consensus solves of the lifted linear equation
     to convergence (``T`` is refused) from uniform random initial states;
     each node keeps the unit vectors within sqrt(RANK_TOL * 2/sqrt(d)),
-    d = 2^m, of the affine hull of its own outputs, with no check against
+    d = 2^m, of the affine hull of its own outputs (``best_affine_fit`` at
+    rank threshold ``RANK_TOL``), with no check against
     the system: on a consistent lift solutions lie within RANK_TOL of
     every hull, and the lift puts every non-solution 2/sqrt(d) or more away.
     A run that hits ``max_rounds`` leaves the outcome undecided.
     """
     config = config or RunConfig()
     _, k, linear, rounds, converged = _linear_stage(system, graph, config, False)
-    hulls = [affine_from_points(linear[:, i], RANK_TOL) for i in range(graph.n)]
     return _search_outcome(
         "solve",
-        hulls,
+        [best_affine_fit(linear[:, i], RANK_TOL) for i in range(graph.n)],
         math.sqrt(RANK_TOL * 2.0 / math.sqrt(2**system.m)),
         system.m,
         linear,
@@ -293,7 +309,7 @@ def estimate_contraction_rate(
     change, fitted on an observed 400-round run from seeded random initials.
 
     The fitted slope is shrunk by 20% so the returned rate errs toward a
-    conservative (smaller) value, as the truncated-mode error budget
+    conservative (smaller) value, as the truncated mode's rank threshold
     requires a lower bound on the true rate.
     """
     rng = np.random.default_rng(config.seed + 0x5EED)
@@ -320,46 +336,25 @@ def solve_approximate(
 ) -> SolveOutcome:
     """Distributed solve with the linear stage truncated to T rounds.
 
-    Each node keeps its own T-round outputs, which carry a residual bounded
-    by c* exp(-gamma* T), with c* = 2^(m/2) n and gamma* the rate
-    ``estimate_contraction_rate`` calibrates; both are reported in the
-    diagnostics.  The node fits the lowest-dimensional affine subspace
-    whose summed distance to its outputs stays within the budget
-    eps_T = c* exp(-gamma* T) * k and hands that fit itself to the
-    unit-vector search, with the per-run residual scale as the membership
-    distance.  Each node reports the unit vectors of its own fit as they
-    stand: for small T a fit can hold non-solutions or miss solutions, and
-    the nodes' sets may disagree, which ``nodes_agree`` exposes.  The k*
-    runs start from the same seeded initials as ``solve_exact``'s; since
-    all of them stop after T rounds, they step together as one batched
-    ``distributed_lae`` pass of T rounds.
-
-    Each node's fit is one ``best_affine_fit`` call, one thin SVD: the
-    best fits are nested principal subspaces, so every dimension's summed
-    distance comes from the tails of the centred points' principal
-    coordinates, and the fit is the first dimension b within budget.  The
-    diagnostics' ``fit_margins`` give, per node, the total at b - 1 over
-    the budget: how far the first dimension refused sits above it (None
-    when b = 0).  The total at b itself is left out, since it is SVD
-    rounding noise whenever the fit is exact.
+    Each node keeps its own T-round outputs, which lie within
+    c* exp(-gamma* T) of the limits that ``solve_exact`` would reach, with
+    c* = 2^(m/2) n and gamma* the rate ``estimate_contraction_rate``
+    calibrates; both are reported in the diagnostics.  That per-run bound,
+    floored at ``RANK_TOL`` and capped at 0.25, below which unit vectors
+    stay distinguishable, is ``member_tol``: each node takes the
+    ``best_affine_fit`` of its outputs at that rank threshold, the exact
+    modes' subspace rule, and keeps the unit vectors within ``member_tol``
+    of it.  A fit whose rank gap is below ``GAP_MIN`` leaves the outcome
+    undecided, as do disagreeing nodes.  The k* runs start from the same
+    seeded initials as ``solve_exact``'s; since all of them stop after T
+    rounds, they step together as one batched ``distributed_lae`` pass of
+    T rounds.
     """
     eqs, k, linear, rounds, _ = _linear_stage(system, graph, config, True)
     c_star = 2.0 ** (system.m / 2) * graph.n
     gamma_star = estimate_contraction_rate(eqs, graph, config)
-    # distance budget of the dimension fit, floored at RANK_TOL for huge T
-    budget = max(c_star * math.exp(-gamma_star * config.T) * k, RANK_TOL)
-    # membership slack for unit vectors against the fitted subspace: the
-    # per-run residual scale, floored at RANK_TOL and kept below the scale
-    # at which unit vectors stop being distinguishable
-    member_tol = min(max(RANK_TOL, budget / k), 0.25)
-
-    fits: list[AffineSubspace] = []
-    fit_margins: list[float | None] = []
-    for i in range(graph.n):
-        fit, totals = best_affine_fit(linear[:, i], budget=budget)
-        b = fit.dim
-        fits.append(fit)
-        fit_margins.append(float(totals[b - 1] / budget) if b > 0 else None)
+    member_tol = min(max(RANK_TOL, c_star * math.exp(-gamma_star * config.T)), 0.25)
+    fits = [best_affine_fit(linear[:, i], member_tol) for i in range(graph.n)]
     return _search_outcome(
         "solve-approx",
         fits,
@@ -372,10 +367,8 @@ def solve_approximate(
             "rounds": rounds,
             "c_star": c_star,
             "gamma_star": gamma_star,
-            "budget": budget,
             "member_tol": member_tol,
-            "fitted_dims": [fit.dim for fit in fits],
-            "fit_margins": fit_margins,
+            "fitted_dims": [fit.dim for fit, _ in fits],
         },
     )
 

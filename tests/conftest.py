@@ -372,7 +372,7 @@ def boolean_vector_search_bruteforce(points: np.ndarray, tol: float = 1e-6) -> s
     return {i + 1 for i in range(d) if dist_to_affine(np.eye(d)[i], hull) <= tol}
 
 
-# --- reference of the truncated-mode fit --------------------------------
+# --- reference of the subspace fit --------------------------------------
 
 
 def fixed_dim_fit(points: np.ndarray, target_dim: int) -> AffineSubspace:
@@ -392,13 +392,17 @@ def fixed_dim_fit(points: np.ndarray, target_dim: int) -> AffineSubspace:
     return AffineSubspace(centroid, vt[:target_dim].copy())
 
 
-def scan_fit_dim(points: np.ndarray, budget: float) -> int:
-    """First b whose ``fixed_dim_fit`` keeps the summed direct distance to
-    the points within the budget, scanning b = 0, 1, ... (d when none)."""
-    d = points.shape[1]
+def scan_rank(points: np.ndarray, tol: float) -> int:
+    """First b whose ``fixed_dim_fit`` leaves a residual matrix of spectral
+    norm at most ``tol``, scanning b = 0, 1, ... (d when none): the
+    Eckart-Young reading of a rank threshold."""
+    pts = np.asarray(points, dtype=float)
+    d = pts.shape[1]
     for b in range(d + 1):
-        fit = fixed_dim_fit(points, b)
-        if sum(dist_to_affine(p, fit) for p in points) <= budget:
+        fit = fixed_dim_fit(pts, b)
+        centred = pts - fit.offset
+        residual = centred - centred @ fit.basis.T @ fit.basis
+        if np.linalg.norm(residual, 2) <= tol:
             return b
     return d
 

@@ -29,7 +29,7 @@ from conftest import (
     stacked_rank_consistent,
 )
 from netbool.formula import BooleanSystem
-from netbool.linalg import affine_from_points
+from netbool.linalg import best_affine_fit
 from netbool.matricization import boolean_matricization, lift_system
 from netbool.network import build_weights, consensus, run_to_convergence
 from netbool.search import boolean_vector_search
@@ -198,7 +198,7 @@ def test_criterion_6_search_equals_bruteforce_on_500_instances():
         else:
             plant = int(rng.integers(0, min(b + 1, 4) + 1))
             points, _ = make_instance(rng, m, b, plant)
-        fast = boolean_vector_search(affine_from_points(points, 1e-6), 1e-6)
+        fast = boolean_vector_search(best_affine_fit(points, 1e-6)[0], 1e-6)
         brute = boolean_vector_search_bruteforce(points, 1e-6)
         agreements += fast == brute
     report(

@@ -289,6 +289,20 @@ class TestBooleanSystem:
         with pytest.raises(ValueError, match="0 or 1"):
             BooleanSystem(1, ((Var(1), 2),))
 
+    @pytest.mark.parametrize(
+        "m, rhs, message",
+        [
+            (2.0, 1, "variable count must be an integer, got 2.0"),
+            (True, 1, "variable count must be an integer, got True"),
+            (1, True, "right-hand side of equation 1 must be 0 or 1, got True"),
+            (1, 1.0, "right-hand side of equation 1 must be 0 or 1, got 1.0"),
+        ],
+    )
+    def test_refuses_what_a_problem_file_refuses(self, m, rhs, message):
+        # True == 1 and 1.0 == 1, so a value check alone took them
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BooleanSystem(m, ((Var(1), rhs),))
+
     def test_max_var_index(self):
         assert max_var_index(parse_formula("x1 & (x2 | !x5)", 5)) == 5
         assert max_var_index(Const(1)) == 0

@@ -9,15 +9,10 @@ from conftest import (
     fixed_dim_fit,
     project_affine,
     rank_and_echelon,
-    scan_fit_dim,
+    scan_rank,
     stack_equations,
 )
-from netbool.linalg import (
-    AffineSubspace,
-    affine_from_points,
-    best_affine_fit,
-    dist_to_affine,
-)
+from netbool.linalg import AffineSubspace, best_affine_fit, dist_to_affine
 
 
 def mp_identities_hold(a, a_pinv, tol=1e-9):
@@ -158,21 +153,21 @@ class TestProjectAffine:
 class TestAffineFromPoints:
     def test_single_point(self):
         p = np.array([1.0, 2.0, 3.0])
-        a = affine_from_points([p], 1e-8)
+        a = best_affine_fit([p], 1e-8)[0]
         assert a.dim == 0
         assert np.array_equal(a.offset, p)
         assert dist_to_affine(p, a) == 0.0
 
     def test_simplex_plane(self):
         pts = np.eye(3)
-        a = affine_from_points(pts, 1e-8)
+        a = best_affine_fit(pts, 1e-8)[0]
         assert a.dim == 2
         assert dist_to_affine(np.full(3, 1.0 / 3.0), a) < 1e-12
 
     def test_published_sample_outputs(self):
         # nine approximate solutions printed to four decimals: dimension 4,
         # containing the unit vectors at positions 1, 3, 5, 6
-        a = affine_from_points(EX1_SAMPLE_OUTPUTS, tol=1e-3)
+        a = best_affine_fit(EX1_SAMPLE_OUTPUTS, 1e-3)[0]
         assert a.dim == 4
         for idx in (1, 3, 5, 6):
             e = np.zeros(8)
@@ -186,7 +181,7 @@ class TestAffineFromPoints:
     def test_inputs_are_members(self):
         rng = np.random.default_rng(11)
         pts = rng.normal(size=(6, 5))
-        a = affine_from_points(pts, 1e-8)
+        a = best_affine_fit(pts, 1e-8)[0]
         for p in pts:
             assert dist_to_affine(p, a) < 1e-9
 
@@ -194,8 +189,8 @@ class TestAffineFromPoints:
         rng = np.random.default_rng(12)
         base = rng.normal(size=(3, 6))
         dependent = base[0] + 2.5 * (base[1] - base[0])  # on the same plane
-        with_dep = affine_from_points(np.vstack([base, dependent[None, :]]), 1e-8)
-        without = affine_from_points(base, 1e-8)
+        with_dep = best_affine_fit(np.vstack([base, dependent[None, :]]), 1e-8)[0]
+        without = best_affine_fit(base, 1e-8)[0]
         assert with_dep.dim == without.dim
 
     @pytest.mark.parametrize(
@@ -215,7 +210,7 @@ class TestAffineFromPoints:
         coords = rng.normal(size=(k, len(scales))) * np.array(scales)
         pts = rng.normal(size=d) + coords @ directions + noise * rng.normal(size=(k, d))
         # tol None: exact points, whose rank any small threshold finds
-        a = affine_from_points(pts, 1e-8 if tol is None else tol)
+        a = best_affine_fit(pts, 1e-8 if tol is None else tol)[0]
         centred = pts - pts.mean(axis=0)
         assert a.dim == np.linalg.matrix_rank(centred, tol=tol)
         assert a.dim == sum(s > 1e-6 for s in scales)
@@ -223,24 +218,24 @@ class TestAffineFromPoints:
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(13)
         pts = rng.normal(size=(5, 7))
-        a = affine_from_points(pts, 1e-8)
+        a = best_affine_fit(pts, 1e-8)[0]
         assert np.allclose(a.basis @ a.basis.T, np.eye(a.dim), atol=1e-12)
 
 
 class TestDistToAffine:
     def test_offset_is_member(self):
-        a = affine_from_points(np.array([[1.0, 2.0], [3.0, 2.0]]), 1e-8)
+        a = best_affine_fit(np.array([[1.0, 2.0], [3.0, 2.0]]), 1e-8)[0]
         assert dist_to_affine(np.array([1.0, 2.0]), a) == 0.0
 
     def test_axis_line(self):
         # the x-axis in the plane; distance of (3, 4) is 4
-        a = affine_from_points(np.array([[0.0, 0.0], [1.0, 0.0]]), 1e-8)
+        a = best_affine_fit(np.array([[0.0, 0.0], [1.0, 0.0]]), 1e-8)[0]
         assert dist_to_affine(np.array([3.0, 4.0]), a) == pytest.approx(4.0)
 
     def test_self_consistency(self):
         rng = np.random.default_rng(21)
         pts = rng.normal(size=(4, 6))
-        a = affine_from_points(pts, 1e-8)
+        a = best_affine_fit(pts, 1e-8)[0]
         for _ in range(10):
             y = rng.normal(size=6)
             proj = a.offset + a.basis.T @ (a.basis @ (y - a.offset))
@@ -248,7 +243,7 @@ class TestDistToAffine:
             assert dist_to_affine(proj, a) < 1e-9
 
     def test_dimension_mismatch(self):
-        a = affine_from_points(np.array([[0.0, 0.0]]), 1e-8)
+        a = best_affine_fit(np.array([[0.0, 0.0]]), 1e-8)[0]
         with pytest.raises(ValueError):
             dist_to_affine(np.zeros(3), a)
 
@@ -260,7 +255,7 @@ class TestBestAffineFit:
     def test_collinear_points(self):
         t = np.linspace(-2, 3, 7)
         pts = np.outer(t, [1.0, 2.0, -1.0]) + np.array([5.0, 0.0, 1.0])
-        fit, _ = best_affine_fit(pts, budget=1e-6)
+        fit, _ = best_affine_fit(pts, 1e-6)
         assert fit.dim == 1
         assert sum(dist_to_affine(p, fit) for p in pts) < 1e-9
 
@@ -271,46 +266,44 @@ class TestBestAffineFit:
         coords = rng.normal(size=(25, 2))
         noise = 1e-3 * rng.normal(size=(25, 6))
         pts = offset + coords @ basis + noise
-        fit, _ = best_affine_fit(pts, budget=np.linalg.norm(noise, axis=1).sum())
+        fit, gap = best_affine_fit(pts, 0.1)
         assert fit.dim == 2
         total = sum(dist_to_affine(p, fit) for p in pts)
         assert total <= np.linalg.norm(noise, axis=1).sum()
+        # the gap is the smallest kept singular value over the largest dropped
+        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+        assert gap == pytest.approx(s[1] / s[2], rel=1e-12) and gap > 100
 
     def test_full_dimension_is_exact(self):
         rng = np.random.default_rng(32)
         pts = rng.normal(size=(4, 3))
-        fit, _ = best_affine_fit(pts, budget=0.0)
+        fit, _ = best_affine_fit(pts, 1e-8)
         assert fit.dim == 3
         assert all(dist_to_affine(p, fit) < 1e-9 for p in pts)
 
     def test_matches_affine_hull_at_true_rank(self):
+        # points drawn on a 3-dimensional affine subspace: the fit is that
+        # subspace, each basis direction of one inside the other (as points
+        # through the respective offsets)
         rng = np.random.default_rng(33)
-        basis = rng.normal(size=(3, 8))
-        pts = rng.normal(size=(12, 3)) @ basis + rng.normal(size=8)
-        hull = affine_from_points(pts, 1e-8)
-        fit, _ = best_affine_fit(pts, budget=1e-6)
-        assert fit.dim == hull.dim
-        # the two subspaces coincide: each basis direction of one is inside
-        # the other (as points through the respective offsets)
+        directions = rng.normal(size=(3, 8))
+        offset = rng.normal(size=8)
+        pts = rng.normal(size=(12, 3)) @ directions + offset
+        truth = AffineSubspace(offset, np.linalg.qr(directions.T)[0].T)
+        fit, _ = best_affine_fit(pts, 1e-8)
+        assert fit.dim == truth.dim
         for v in fit.basis:
-            assert dist_to_affine(fit.offset + v, hull) < 1e-8
-        for v in hull.basis:
-            assert dist_to_affine(hull.offset + v, fit) < 1e-8
-
-    def test_target_dim_validation(self):
-        # the budget is keyword-only: a fixed-dimension call is refused
-        with pytest.raises(TypeError):
-            best_affine_fit(np.zeros((2, 3)), 4)
-        with pytest.raises(ValueError, match="budget"):
-            best_affine_fit(np.zeros((2, 3)), budget=-1.0)
+            assert dist_to_affine(fit.offset + v, truth) < 1e-8
+        for v in truth.basis:
+            assert dist_to_affine(truth.offset + v, fit) < 1e-8
 
     def test_least_squares_optimality_vs_random_fits(self):
         # no competitor subspace of equal dimension beats the fit on the
         # sum of squared distances
         rng = np.random.default_rng(34)
         pts = rng.normal(size=(10, 5))
-        _, totals = best_affine_fit(pts, budget=0.0)
-        fit, _ = best_affine_fit(pts, budget=totals[2])
+        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+        fit, _ = best_affine_fit(pts, np.sqrt(s[1] * s[2]))
         assert fit.dim == 2
         best = sum(dist_to_affine(p, fit) ** 2 for p in pts)
         for _ in range(25):
@@ -321,76 +314,88 @@ class TestBestAffineFit:
 
     def test_is_the_reference_fit_at_the_chosen_dim(self):
         # the thin SVD's leading rows span the full SVD's fit, and the
-        # direct distances sum to the tail total, so stepping b up to
-        # confirm the pick directly never changes it
+        # residual's spectral norm, the largest dropped singular value, is
+        # within the threshold
         for k, d, seed in [(12, 5, 41), (6, 10, 42), (30, 9, 43)]:
             pts = np.random.default_rng(seed).normal(size=(k, d))
-            _, totals = best_affine_fit(pts, budget=0.0)
-            for budget in totals[0] * np.array([1.5, 0.9, 0.5, 0.2, 0.05, 0.01]):
-                fit, _ = best_affine_fit(pts, budget=budget)
+            s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            for tol in s[0] * np.array([1.5, 0.9, 0.5, 0.2, 0.05, 0.01]):
+                fit, _ = best_affine_fit(pts, tol)
                 ref = fixed_dim_fit(pts, fit.dim)
                 assert np.array_equal(fit.offset, ref.offset)
                 projector = fit.basis.T @ fit.basis
                 assert np.abs(projector - ref.basis.T @ ref.basis).max() < 1e-10
-                direct = sum(dist_to_affine(p, fit) for p in pts)
-                assert abs(direct - totals[fit.dim]) < 1e-9
+                centred = pts - fit.offset
+                assert np.linalg.norm(centred - centred @ projector, 2) <= tol
 
-def direct_totals(points):
-    d = points.shape[1]
-    return np.array([
-        sum(dist_to_affine(p, fixed_dim_fit(points, b)) for p in points)
-        for b in range(d + 1)
-    ])
+
+class TestRankGap:
+    """The cases where no kept-over-dropped singular value ratio exists;
+    ``TestBestAffineFit.test_noisy_plane`` checks the ratio itself, and
+    ``TestMinFitDim.test_single_point`` a single point."""
+
+    def test_none_when_nothing_dropped(self):
+        pts = np.random.default_rng(35).normal(size=(10, 4))
+        fit, gap = best_affine_fit(pts, 1e-8)
+        assert fit.dim == 4 and gap is None
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_none_when_k_points_span_k_minus_one(self, k):
+        # the k-th singular value of k centred points is rounding noise,
+        # not a dropped direction
+        pts = np.random.default_rng(36 + k).normal(size=(k, 12))
+        fit, gap = best_affine_fit(pts, 1e-8)
+        assert fit.dim == k - 1 and gap is None
+
+    def test_none_when_nothing_kept(self):
+        pts = np.random.default_rng(37).normal(size=(6, 3))
+        fit, gap = best_affine_fit(pts, 1e3)
+        assert fit.dim == 0 and gap is None
 
 
 class TestMinFitDim:
-    """The minimal dimension ``best_affine_fit`` picks, and the summed
-    distances it reads off the SVD tails, against the direct scan."""
+    """The dimension ``best_affine_fit`` picks at a threshold, against the
+    direct scan ``scan_rank``: the lowest dimension whose full-SVD fit
+    leaves a residual of spectral norm at most ``tol``."""
 
     @pytest.mark.parametrize("k,d,seed", [(12, 5, 41), (6, 10, 42), (30, 9, 43)])
     def test_equals_scan_on_random_clouds(self, k, d, seed):
         pts = np.random.default_rng(seed).normal(size=(k, d))
-        totals = direct_totals(pts)
+        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
         for frac in (1.5, 0.9, 0.5, 0.2, 0.05, 0.01):
-            budget = frac * totals[0]
-            fit, tails = best_affine_fit(pts, budget=budget)
-            assert fit.dim == scan_fit_dim(pts, budget)
-            assert np.allclose(tails, totals, rtol=1e-9, atol=1e-9)
-
-    def test_totals_never_increase(self):
-        pts = np.random.default_rng(44).normal(size=(9, 14))
-        _, totals = best_affine_fit(pts, budget=1.0)
-        assert totals.shape == (15,)
-        assert np.all(np.diff(totals) <= 0)
-        # 9 centred points span 8 directions
-        assert totals[8] < 1e-12 and np.all(totals[9:] == 0)
+            tol = frac * s[0]
+            fit, _ = best_affine_fit(pts, tol)
+            assert fit.dim == scan_rank(pts, tol)
 
     def test_equal_points_pick_zero(self):
         pts = np.tile(np.arange(6.0), (5, 1))
-        fit, totals = best_affine_fit(pts, budget=1e-6)
-        assert fit.dim == 0 == scan_fit_dim(pts, 1e-6)
-        assert np.all(totals == 0)
+        fit, gap = best_affine_fit(pts, 1e-6)
+        assert fit.dim == 0 == scan_rank(pts, 1e-6)
+        assert gap is None
 
     def test_exact_low_dimensional_subspace(self):
         rng = np.random.default_rng(45)
         pts = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 10)) + rng.normal(size=10)
-        fit, _ = best_affine_fit(pts, budget=1e-6)
-        assert fit.dim == 3 == scan_fit_dim(pts, 1e-6)
+        fit, gap = best_affine_fit(pts, 1e-6)
+        assert fit.dim == 3 == scan_rank(pts, 1e-6)
+        assert gap > 1e9  # the dropped values are rounding noise
 
     @pytest.mark.parametrize("k,d", [(7, 12), (15, 6)])
     def test_budget_at_tol_floor(self, k, d):
-        # a generic cloud needs every direction its centred points span
+        # at the exact modes' threshold a generic cloud keeps every
+        # direction its centred points span, so nothing is dropped
         pts = np.random.default_rng(46 + k).normal(size=(k, d))
-        fit, _ = best_affine_fit(pts, budget=1e-6)
-        assert fit.dim == min(k - 1, d) == scan_fit_dim(pts, 1e-6)
+        fit, gap = best_affine_fit(pts, 1e-6)
+        assert fit.dim == min(k - 1, d) == scan_rank(pts, 1e-6)
+        assert gap is None
 
     def test_single_point(self):
-        fit, totals = best_affine_fit(np.ones((1, 4)), budget=1e-6)
-        assert fit.dim == 0 and totals.shape == (5,)
+        fit, gap = best_affine_fit(np.ones((1, 4)), 1e-6)
+        assert fit.dim == 0 and gap is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            best_affine_fit(np.zeros(3), budget=1.0)
+            best_affine_fit(np.zeros(3), 1.0)
 
 
 class TestStackEquations:

@@ -53,6 +53,23 @@ class TestGraph:
         g = Graph(1, frozenset())
         assert g.neighbors(1) == ()
 
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            # int() once truncated 1.7 to node 1 and took True as node 1
+            (3, [[1.7, 2], [2, 3]], r"invalid edge \(1.7, 2\): node ids must be integers"),
+            (3, [[True, 3], [1, 2]], r"invalid edge \(True, 3\): node ids must be integers"),
+            # a third entry was dropped without a word
+            (3, [[1, 2, 3], [2, 3]], r"invalid edge \[1, 2, 3\]: expected a pair \[i, j\]"),
+            (3, [[1], [2, 3]], r"invalid edge \[1\]: expected a pair \[i, j\]"),
+            (2.0, [[1, 2]], "node count must be an integer, got 2.0"),
+            (True, [], "node count must be an integer, got True"),
+        ],
+    )
+    def test_refuses_what_a_problem_file_refuses(self, n, pairs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph.from_edge_list(n, pairs)
+
 
 class TestBuildWeights:
     def test_three_node_path(self):

@@ -218,13 +218,18 @@ LIMITS = "limit consensus hit max_rounds (limits_converged is false)"
 AVERAGE = "network average hit max_rounds (average_converged is false)"
 
 
-def below_floor(dim: int) -> list[str]:
+def below_floor(*dims: int) -> list[str]:
     """The dimension floor's reasons on ex1 or ex2 (m = n = 3, floor 4) when
-    every node's subspace has dimension ``dim``."""
+    nodes 1, 2 and 3 have subspaces of dimensions ``dims``."""
     return [
         f"node {i}'s subspace has dimension {dim}, below the floor 2^m - n - 1 = 4"
-        for i in (1, 2, 3)
+        for i, dim in enumerate(dims, start=1)
     ]
+
+
+def small_gaps(*gaps: str) -> list[str]:
+    """The rank gap's reasons when nodes 1, 2, ... have the printed gaps."""
+    return [f"node {i}'s rank gap {gap} is below 100" for i, gap in enumerate(gaps, start=1)]
 
 
 class TestCliWarnings:
@@ -233,9 +238,9 @@ class TestCliWarnings:
         [
             (["solve", "ex1.json", "--max-rounds", "1"], [CONVERGED, DISAGREE], None),
             (["solve-approx", "ex2.json", "--T", "2", "--seed", "1"],
-             [DISAGREE, *below_floor(0)], None),
+             [DISAGREE, *below_floor(3, 2, 3), *small_gaps("1.93", "1.86", "4.08")], None),
             # 4 runs span only 3 of ex1's 4 hull dimensions: the nodes agree on []
-            (["solve", "ex1.json", "--seed", "7", "--k-star", "4"], below_floor(3), None),
+            (["solve", "ex1.json", "--seed", "7", "--k-star", "4"], below_floor(3, 3, 3), None),
             # exit 3 outranks the unsatisfiable verdict's 2
             (["sat", "ex1.json", "--max-rounds", "1"], [LIMITS, AVERAGE], "unsatisfiable"),
         ],

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import EX1_SAMPLE_OUTPUTS, EX2_SAMPLE_OUTPUTS, boolean_vector_search_bruteforce
-from netbool.linalg import AffineSubspace, affine_from_points, dist_to_affine
+from netbool.linalg import AffineSubspace, best_affine_fit, dist_to_affine
 from netbool.search import boolean_vector_search
 
 
 def search(points, tol):
-    return boolean_vector_search(affine_from_points(points, tol), tol)
+    return boolean_vector_search(best_affine_fit(points, tol)[0], tol)
 
 
 def make_instance(rng, m, b, plant=0, extra=2):

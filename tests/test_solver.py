@@ -19,13 +19,13 @@ from conftest import (
     random_formula,
     random_satisfiable_system,
     rank_and_echelon,
-    scan_fit_dim,
+    scan_rank,
     stack_equations,
     stacked_rank_consistent,
     unit_vector,
 )
 from netbool.formula import BooleanSystem, Const, parse_formula
-from netbool.linalg import affine_from_points, dist_to_affine
+from netbool.linalg import best_affine_fit, dist_to_affine
 from netbool.matricization import itob, lift_system
 from netbool import solver
 from netbool.network import Graph
@@ -203,7 +203,7 @@ class TestSolveExact:
         # the stacked system: dimension = 2^m - rank(stacked coefficients)
         outcome = solve_exact(ex1, path3, RunConfig(seed=13))
         points = outcome.linear_solutions[:, 0, :]  # node 1's copies
-        hull = affine_from_points(points, tol=1e-6)
+        hull = best_affine_fit(points, 1e-6)[0]
         stacked = stack_equations(lift_system(ex1))
         rank, _, _ = rank_and_echelon(stacked.h)
         assert hull.dim == 8 - rank
@@ -255,21 +255,24 @@ class TestSolveApproximate:
 
     @pytest.mark.parametrize("horizon", [50, 200, 2000])
     def test_fitted_dims_match_dimension_scan(self, ex1, path3, horizon):
+        # each node's rank is taken at the per-run bound member_tol, and
+        # its gap is the ratio of the singular values on either side
         outcome = solve_approximate(ex1, path3, RunConfig(seed=3, T=horizon))
-        budget = outcome.diagnostics["budget"]
-        scanned = [
-            scan_fit_dim(outcome.linear_solutions[:, i], budget) for i in range(path3.n)
-        ]
+        tol = outcome.diagnostics["member_tol"]
+        points = [outcome.linear_solutions[:, i] for i in range(path3.n)]
+        scanned = [scan_rank(p, tol) for p in points]
         assert outcome.diagnostics["fitted_dims"] == scanned
-        for b, below in zip(scanned, outcome.diagnostics["fit_margins"]):
-            assert below is None if b == 0 else below > 1.0
+        for b, p, gap in zip(scanned, points, outcome.diagnostics["rank_gaps"]):
+            s = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)
+            assert gap == pytest.approx(s[b - 1] / s[b], rel=1e-9)
+            assert s[b - 1] > tol >= s[b]
 
     def test_huge_horizon_degenerates_to_exact(self, ex1, path3):
         # residuals reach the floating-point floor long before 5000 rounds;
-        # the distance budget collapses to its floor, the exact hull's rank
-        # threshold, and the answer is the exact one
+        # the rank threshold collapses to its floor, the exact hull's, and
+        # the answer is the exact one
         outcome = solve_approximate(ex1, path3, RunConfig(seed=6, T=5000))
-        assert outcome.diagnostics["budget"] == solver.RANK_TOL
+        assert outcome.diagnostics["member_tol"] == solver.RANK_TOL
         exact = solve_exact(ex1, path3, RunConfig(seed=6))
         assert set(outcome.solutions) == set(exact.solutions)
 
@@ -400,10 +403,13 @@ class TestUndecided:
     def test_disagreeing_nodes(self, ex2, path3):
         outcome = solve_approximate(ex2, path3, RunConfig(T=2, seed=1, k_star=5))
         assert not outcome.diagnostics["nodes_agree"]
+        assert outcome.diagnostics["fitted_dims"] == [3, 2, 3]
         assert outcome.undecided == (
             "nodes disagree (nodes_agree is false)",
-            *(f"node {i}'s subspace has dimension 0, below the floor 2^m - n - 1 = 4"
-              for i in (1, 2, 3)),
+            *(f"node {i}'s subspace has dimension {dim}, below the floor 2^m - n - 1 = 4"
+              for i, dim in ((1, 3), (2, 2), (3, 3))),
+            *(f"node {i}'s rank gap {gap} is below 100"
+              for i, gap in ((1, "1.93"), (2, "1.86"), (3, "4.08"))),
         )
 
 
@@ -448,7 +454,7 @@ class TestSearchThreshold:
             assert outcome.diagnostics["converged"]
             d = 2**m
             for i in range(n):
-                hull = affine_from_points(outcome.linear_solutions[:, i], solver.RANK_TOL)
+                hull = best_affine_fit(outcome.linear_solutions[:, i], solver.RANK_TOL)[0]
                 for j, x in enumerate(np.eye(d)):
                     dist = dist_to_affine(x, hull)
                     if system.satisfies(itob(j + 1, m)):
@@ -500,10 +506,10 @@ class TestMissedSolutionRegression:
 
 
 # approx-wide benchmark document (workload seed 1, third problem): at
-# T = 300 the runs are close to their limits, but the c*/gamma* budget is
-# so loose that every node's fit drops real hull directions, dimension 121
-# where the solution set has 123, and every node agrees on 0 of the 16
-# solutions; the dimension floor 2^7 - 4 - 1 leaves that undecided
+# T = 300 the runs are within about 2.6e-6 of their limits; a summed-distance
+# budget c* exp(-gamma* T) k, about 2000x too loose, once dropped real hull
+# directions here (dimension 121 where the solution set has 123) and every
+# node agreed on 0 of the 16 solutions
 DROPPED_DIMENSIONS_DOC = {
     "m": 7,
     "equations": [
@@ -518,17 +524,59 @@ DROPPED_DIMENSIONS_DOC = {
 
 
 def test_dropped_dimensions_are_undecided():
+    # the per-run bound as rank threshold keeps every direction, with a
+    # clear gap on every node
     doc = DROPPED_DIMENSIONS_DOC
     system = BooleanSystem.from_texts(doc["m"], doc["equations"])
     graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
     outcome = solve_approximate(system, graph, RunConfig(**doc["config"]))
-    assert len(oracle_solve(system)) == 16
-    assert outcome.solutions == () and outcome.diagnostics["nodes_agree"]
-    assert outcome.diagnostics["fitted_dims"] == [121] * 4
-    assert outcome.undecided == tuple(
-        f"node {i}'s subspace has dimension 121, below the floor 2^m - n - 1 = 123"
-        for i in (1, 2, 3, 4)
-    )
+    expected = oracle_solve(system)
+    assert len(expected) == 16
+    assert outcome.undecided == ()
+    assert all(set(node_set) == expected for node_set in outcome.per_node_solutions)
+    assert outcome.diagnostics["fitted_dims"] == [123] * 4
+    assert min(outcome.diagnostics["rank_gaps"]) > 1000
+
+
+# exact-small benchmark document (workload seed 1, second problem), solved
+# with RunConfig(seed=1, T=300): a summed-distance budget left every node's
+# fit at dimension 2, above the floor 2^3 - 6 - 1 = 1, and every node
+# agreed on [], with nothing flagged, while (1, 0, 0) solves the system
+SILENT_EMPTY_DOC = {
+    "m": 3,
+    "equations": [
+        ("(((x2 -> !x3) | (x2 <-> 0)) <-> !(x2 & !x3))", 1),
+        ("x2", 0),
+        ("(x1 <-> (!x3 | (!x3 | !x3)))", 1),
+        ("(x2 -> (x2 & !x3))", 1),
+        ("(x1 | 1)", 1),
+        ("(x1 <-> !(x2 | x2))", 1),
+    ],
+    "edges": [[1, 2], [1, 3], [1, 6], [2, 4], [2, 5], [3, 6], [5, 6]],
+}
+
+
+def test_no_silent_empty_answer_above_the_floor():
+    doc = SILENT_EMPTY_DOC
+    system = BooleanSystem.from_texts(doc["m"], doc["equations"])
+    graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+    outcome = solve_approximate(system, graph, RunConfig(seed=1, T=300))
+    assert oracle_solve(system) == {(1, 0, 0)}
+    assert outcome.undecided == ()
+    assert outcome.per_node_solutions == (((1, 0, 0),),) * 6
+
+
+@pytest.mark.parametrize("T", [2, 10, 50, 300])
+@pytest.mark.parametrize("name", ["ex1", "ex2"])
+def test_truncated_outcome_is_undecided_or_right(request, path3, name, T):
+    # a decided truncated outcome is the oracle's set on every node, from
+    # T = 2 up
+    system = request.getfixturevalue(name)
+    expected = oracle_solve(system)
+    for seed in range(4):
+        outcome = solve_approximate(system, path3, RunConfig(seed=seed, T=T))
+        if not outcome.undecided:
+            assert all(set(s) == expected for s in outcome.per_node_solutions), seed
 
 
 EX1_SOLUTIONS = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1))
@@ -619,6 +667,21 @@ class TestTracerContract:
             outcome.diagnostics["limit_rounds"],
             outcome.diagnostics["average_rounds"],
         ]
+
+    @pytest.mark.parametrize("mode", ["solve", "solve-approx"])
+    def test_one_fit_per_node(self, tracing, ex1, path3, mode):
+        # both solve modes take each node's subspace through one
+        # best_affine_fit call, so linalg.fit_* count exact solves too
+        tracer = tracing.Tracer()
+        tracer.install(solver)
+        try:
+            if mode == "solve":
+                solver.solve_exact(ex1, path3, RunConfig(seed=7))
+            else:
+                solver.solve_approximate(ex1, path3, RunConfig(seed=7, T=50))
+        finally:
+            tracer.uninstall(solver)
+        assert [s.name for s in tracer.spans].count("linalg.fit") == path3.n
 
     def test_batched_pass_counts_run_rounds(self, tracing, ex1, path3):
         # the k* truncated runs are one span, whose rounds still count every
