@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from . import formula
 from .formula import BooleanSystem
 from .network import Graph
 from .solver import RunConfig
@@ -102,7 +103,11 @@ def load_problem(path: str | Path) -> ProblemFile:
             raise ProblemError(
                 f"{path}: equation {k + 1} must be {{\"formula\": str, \"rhs\": 0|1}}"
             )
-        equations.append((entry["formula"], entry["rhs"]))
+        try:
+            parsed = formula.parse_formula(entry["formula"], m)
+        except ValueError as exc:  # FormulaSyntaxError is one
+            raise ProblemError(f"{path}: equation {k + 1}: {exc}") from exc
+        equations.append((parsed, entry["rhs"]))
 
     edges = []
     if not isinstance(raw["edges"], list):
@@ -128,11 +133,10 @@ def load_problem(path: str | Path) -> ProblemFile:
             raise ProblemError(f"{path}: config {key!r} must be {kind}, got {value!r}")
 
     try:
-        system = BooleanSystem.from_texts(m, equations)
         graph = Graph.from_edge_list(len(equations), edges)
-    except ValueError as exc:  # FormulaSyntaxError is one
-        raise ProblemError(str(exc)) from exc
-    return ProblemFile(system, graph, dict(config))
+    except ValueError as exc:
+        raise ProblemError(f"{path}: {exc}") from exc
+    return ProblemFile(BooleanSystem(m, tuple(equations)), graph, dict(config))
 
 
 def merge_config(problem: ProblemFile, overrides: dict[str, Any]) -> RunConfig:

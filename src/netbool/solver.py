@@ -5,7 +5,8 @@ the consensus outputs.
 
 Four entry points:
 
-* ``solve_exact``       - run consensus to numerical convergence, search
+* ``solve_exact``       - run consensus to numerical convergence, one run
+  after another until every node's hull is certified complete, search
   the hull of the resulting solutions (requires a satisfiable system);
 * ``solve_approximate`` - consensus truncated to T rounds per run, all
   runs stepped as one batch; each node takes the same affine subspace of
@@ -17,11 +18,12 @@ Four entry points:
 * ``oracle_solve``      - centralized exhaustive reference: the AND of
   the n equations' truth tables, each one vectorised ``evaluate``.
 
-Both solve modes share one pipeline, ``_linear_stage``, then one
-``best_affine_fit`` per node, then ``_search_outcome``: a node's answer is
-the unit vectors of its own subspace, and only ``oracle_solve`` evaluates
-the whole system.  The modes differ in their stop rule and in the rank
-threshold that follows from it.
+Both solve modes take each node's subspace through ``best_affine_fit``,
+then answer through ``_search_outcome``: a node's answer is the unit
+vectors of its own subspace, and only ``oracle_solve`` evaluates the
+whole system.  The modes differ in their runs (``_certified_runs`` for
+the exact modes, ``_linear_stage`` for the truncated one) and in the
+rank threshold that follows from their stop rule.
 
 All randomness flows from the seed in ``RunConfig``; identical
 configurations produce identical outputs.
@@ -81,10 +83,12 @@ class RunConfig:
     """Tunable parameters of a solver run.
 
     ``epsilon`` defaults to 0.9/n (always inside the admissible range),
-    ``k_star``, the number of randomized consensus runs, to 2^m + 1, which
-    always spans a node's hull: every lifted equation fixes the coordinate
-    sum, so the hull has dimension at most 2^m - 1.  ``T``, the truncated
-    mode's rounds per run, is refused by the other modes, and
+    ``k_star`` to 2^m + 1, which always spans a node's hull: every lifted
+    equation fixes the coordinate sum, so the hull has dimension at most
+    2^m - 1.  ``k_star`` is the truncated mode's number of randomized
+    consensus runs and the most runs the exact modes draw: they stop
+    earlier once every node's hull is certified complete.  ``T``, the
+    truncated mode's rounds per run, is refused by the other modes, and
     ``max_rounds`` caps the convergent runs of those modes only; the
     truncated mode's residual-bound constants c* and gamma* are not
     fields, ``solve_approximate`` computes them.  The other thresholds are
@@ -174,12 +178,13 @@ def distributed_lae(
     return np.ascontiguousarray(states), runs * config.T, True
 
 
-def _check_inputs(
+def _start(
     system: BooleanSystem, graph: Graph, config: RunConfig, truncated: bool
-) -> int:
-    """One graph node per equation, a horizon ``T`` >= 1 exactly when the mode
-    truncates consensus (``max_rounds`` caps the other modes), and at least
-    one consensus run; returns that run count k*."""
+) -> tuple[int, LiftedSystem, np.random.Generator]:
+    """Checks one graph node per equation, a horizon ``T`` >= 1 exactly when
+    the mode truncates consensus (``max_rounds`` caps the other modes), and
+    at least one consensus run; returns that run count k*, the lift and the
+    seeded generator every consensus run's initials come from."""
     if truncated and config.T is None:
         raise ValueError("solve_approximate requires a finite T in the config")
     if not truncated and config.T is not None:
@@ -191,28 +196,54 @@ def _check_inputs(
     k = config.effective_k_star(system.m)
     if k < 1:
         raise ValueError(f"k_star must be >= 1, got {k}")
-    return k
+    return k, lift_system(system), np.random.default_rng(config.seed)
 
 
 def _linear_stage(
-    system: BooleanSystem, graph: Graph, config: RunConfig, truncated: bool
-) -> tuple[LiftedSystem, int, np.ndarray, list[int], bool]:
-    """The lift and the k* seeded ``distributed_lae`` runs both solve modes
-    start from: the truncated mode's fixed-horizon runs as one batched
-    pass, the exact mode's convergent runs one by one, each stopping at
-    its own round.  Returns (the lift, k*, the runs' states as
-    (k*, n, 2^m), per-run rounds, whether every run converged)."""
-    k = _check_inputs(system, graph, config, truncated)
-    eqs = lift_system(system)
-    rng = np.random.default_rng(config.seed)
-    shape = (k, graph.n, 2**system.m)
-    if truncated:
-        states, _, _ = distributed_lae(eqs, graph, config, rng.random(shape))
-        return eqs, k, states, [config.T] * k, True
-    states, rounds, converged = zip(
-        *(distributed_lae(eqs, graph, config, x) for x in rng.random(shape))
-    )
-    return eqs, k, np.stack(states), list(rounds), all(converged)
+    system: BooleanSystem, graph: Graph, config: RunConfig
+) -> tuple[LiftedSystem, int, np.ndarray]:
+    """The lift and the truncated mode's k* seeded fixed-horizon
+    ``distributed_lae`` runs, which all stop at round T and so step as one
+    batched pass.  Returns (the lift, k*, the runs' states as
+    (k*, n, 2^m))."""
+    k, eqs, rng = _start(system, graph, config, True)
+    states, _, _ = distributed_lae(eqs, graph, config, rng.random((k, graph.n, 2**system.m)))
+    return eqs, k, states
+
+
+def _certified_runs(
+    system: BooleanSystem, graph: Graph, config: RunConfig
+) -> tuple[int, np.ndarray, list[int], bool, list[tuple[AffineSubspace, float | None]]]:
+    """The exact modes' convergent ``distributed_lae`` runs, one by one,
+    each to its own round, until every node's hull is certified complete,
+    with k* as the cap.  A run's limits are an affine image of its uniform
+    initials, so a new limit adds a direction to a hull unless the hull is
+    complete.  After run j >= max(3, 2^m - n + 2) (no consistent hull,
+    whose dimension is at least 2^m - n - 1, certifies earlier), each node
+    fits its j limits at ``RANK_TOL``, and a dimension of at most j - 3,
+    two runs that added no direction, certifies it.  The stop is the AND
+    of the nodes' bits, which a flood would take at most the diameter in
+    rounds to spread; the simulation reads the bits directly.  Run j's
+    initials are the generator's j-th (n, 2^m) draw, a prefix of the k*
+    runs one draw of (k*, n, 2^m) makes.  Returns (k*, the states as
+    (runs, n, 2^m), per-run rounds, whether every run converged, the last
+    check's fits)."""
+    k, eqs, rng = _start(system, graph, config, False)
+    n, d = graph.n, 2**system.m
+    first_check = min(max(3, d - n + 2), k)
+    states, rounds, converged = [], [], True
+    for j in range(1, k + 1):
+        x, r, c = distributed_lae(eqs, graph, config, rng.random((n, d)))
+        states.append(x)
+        rounds.append(r)
+        converged = converged and c
+        if j < first_check:
+            continue
+        linear = np.stack(states)
+        fits = [best_affine_fit(linear[:, i], RANK_TOL) for i in range(n)]
+        if all(fit.dim <= j - 3 for fit, _ in fits):
+            break
+    return k, linear, rounds, converged, fits
 
 
 @lru_cache(maxsize=4096)
@@ -280,20 +311,22 @@ def solve_exact(
 ) -> SolveOutcome:
     """Full distributed solve assuming the system is satisfiable.
 
-    Runs k* independent consensus solves of the lifted linear equation
-    to convergence (``T`` is refused) from uniform random initial states;
-    each node keeps the unit vectors within sqrt(RANK_TOL * 2/sqrt(d)),
-    d = 2^m, of the affine hull of its own outputs (``best_affine_fit`` at
-    rank threshold ``RANK_TOL``), with no check against
+    Runs independent consensus solves of the lifted linear equation to
+    convergence (``T`` is refused) from uniform random initial states,
+    until every node's hull is certified complete or k* runs are drawn
+    (``_certified_runs``); each node keeps the unit vectors within
+    sqrt(RANK_TOL * 2/sqrt(d)), d = 2^m, of the affine hull of its own
+    outputs (``best_affine_fit`` at rank threshold ``RANK_TOL``, the
+    last certificate check's fit), with no check against
     the system: on a consistent lift solutions lie within RANK_TOL of
     every hull, and the lift puts every non-solution 2/sqrt(d) or more away.
     A run that hits ``max_rounds`` leaves the outcome undecided.
     """
     config = config or RunConfig()
-    _, k, linear, rounds, converged = _linear_stage(system, graph, config, False)
+    k, linear, rounds, converged, fits = _certified_runs(system, graph, config)
     return _search_outcome(
         "solve",
-        [best_affine_fit(linear[:, i], RANK_TOL) for i in range(graph.n)],
+        fits,
         math.sqrt(RANK_TOL * 2.0 / math.sqrt(2**system.m)),
         system.m,
         linear,
@@ -346,11 +379,11 @@ def solve_approximate(
     modes' subspace rule, and keeps the unit vectors within ``member_tol``
     of it.  A fit whose rank gap is below ``GAP_MIN`` leaves the outcome
     undecided, as do disagreeing nodes.  The k* runs start from the same
-    seeded initials as ``solve_exact``'s; since all of them stop after T
-    rounds, they step together as one batched ``distributed_lae`` pass of
-    T rounds.
+    seeded initials as ``solve_exact``'s, all k* of them; since all stop
+    after T rounds, they step together as one batched ``distributed_lae``
+    pass of T rounds.
     """
-    eqs, k, linear, rounds, _ = _linear_stage(system, graph, config, True)
+    eqs, k, linear = _linear_stage(system, graph, config)
     c_star = 2.0 ** (system.m / 2) * graph.n
     gamma_star = estimate_contraction_rate(eqs, graph, config)
     member_tol = min(max(RANK_TOL, c_star * math.exp(-gamma_star * config.T)), 0.25)
@@ -364,7 +397,7 @@ def solve_approximate(
         {
             "k_star": k,
             "T": config.T,
-            "rounds": rounds,
+            "rounds": [config.T] * k,
             "c_star": c_star,
             "gamma_star": gamma_star,
             "member_tol": member_tol,
@@ -390,9 +423,7 @@ def verify_satisfiability(
     reasons follow its own.
     """
     config = config or RunConfig()
-    _check_inputs(system, graph, config, False)
-    eqs = lift_system(system)
-    rng = np.random.default_rng(config.seed)
+    _, eqs, rng = _start(system, graph, config, False)
 
     # stage one: per-node projection-consensus limits, then the network's
     # own average of them

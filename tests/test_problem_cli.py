@@ -95,6 +95,24 @@ class TestLoadProblem:
         with pytest.raises(ProblemError, match="position 5"):
             load_problem(path)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"equations": [EX1_DOC["equations"][0], {"formula": "(x1 & x2", "rhs": 1}]},
+             "equation 2: expected ')', found end of input (at position 8)"),
+            ({"equations": EX1_DOC["equations"][:2], "edges": [[1, 3]]},
+             "invalid edge (1, 3) for n=2"),
+        ],
+        ids=["formula", "edge"],
+    )
+    def test_error_names_the_file(self, tmp_path, change, message, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(EX1_DOC, **change)))
+        with pytest.raises(ProblemError, match=re.escape(f"{path}: {message}")):
+            load_problem(path)
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
     def test_disconnected_graph(self, tmp_path):
         doc = dict(EX1_DOC, edges=[[1, 2]])
         path = tmp_path / "bad.json"

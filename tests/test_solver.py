@@ -134,10 +134,10 @@ class TestDistributedLAE:
         # the projection correction; keeping the initials would make a fourth
         system = random_satisfiable_system(np.random.default_rng(0), 6, 3)
         config = RunConfig(seed=1, T=5)
-        solver._linear_stage(system, path_graph(3), config, True)  # warm caches
+        solver._linear_stage(system, path_graph(3), config)  # warm caches
         tracemalloc.start()
         try:
-            _, _, states, _, _ = solver._linear_stage(system, path_graph(3), config, True)
+            _, _, states = solver._linear_stage(system, path_graph(3), config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -538,10 +538,11 @@ def test_dropped_dimensions_are_undecided():
     assert min(outcome.diagnostics["rank_gaps"]) > 1000
 
 
-# exact-small benchmark document (workload seed 1, second problem), solved
-# with RunConfig(seed=1, T=300): a summed-distance budget left every node's
-# fit at dimension 2, above the floor 2^3 - 6 - 1 = 1, and every node
-# agreed on [], with nothing flagged, while (1, 0, 0) solves the system
+# exact-small benchmark document (workload seed 1, second problem), whose
+# hulls have dimension 3.  Solved with RunConfig(seed=1, T=300), a
+# summed-distance budget left every node's fit at dimension 2, above the
+# floor 2^3 - 6 - 1 = 1, and every node agreed on [], with nothing flagged,
+# while (1, 0, 0) solves the system
 SILENT_EMPTY_DOC = {
     "m": 3,
     "equations": [
@@ -553,6 +554,7 @@ SILENT_EMPTY_DOC = {
         ("(x1 <-> !(x2 | x2))", 1),
     ],
     "edges": [[1, 2], [1, 3], [1, 6], [2, 4], [2, 5], [3, 6], [5, 6]],
+    "config": {"seed": 67526265},
 }
 
 
@@ -564,6 +566,47 @@ def test_no_silent_empty_answer_above_the_floor():
     assert oracle_solve(system) == {(1, 0, 0)}
     assert outcome.undecided == ()
     assert outcome.per_node_solutions == (((1, 0, 0),),) * 6
+
+
+class TestCertifiedRuns:
+    """The exact modes draw runs until every node's hull is certified: after
+    run j >= max(3, 2^m - n + 2), a node whose hull has dimension at most
+    j - 3 is certified, and k* caps the runs."""
+
+    def test_stops_once_every_hull_is_certified(self):
+        doc = SILENT_EMPTY_DOC
+        system = BooleanSystem.from_texts(doc["m"], doc["equations"])
+        graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+        config = RunConfig(**doc["config"])
+        outcome = solve_exact(system, graph, config)
+        # dimension 3 certifies at run 6; checks ran after runs 4, 5 and 6
+        assert outcome.diagnostics["k_star"] == 9
+        assert len(outcome.diagnostics["rounds"]) == 6
+        assert outcome.undecided == ()
+        assert outcome.per_node_solutions == (((1, 0, 0),),) * 6
+        # the runs are the first 6 of the 9 that one draw of k* initials makes
+        initials = np.random.default_rng(config.seed).random((9, 6, 8))
+        runs = [distributed_lae(lift_system(system), graph, config, x) for x in initials[:6]]
+        assert np.array_equal(outcome.linear_solutions, np.stack([x for x, _, _ in runs]))
+        assert outcome.diagnostics["rounds"] == [r for _, r, _ in runs]
+
+    @pytest.mark.parametrize(
+        "m, text, expected",
+        [(2, "x1 | x2", {(0, 1), (1, 0), (1, 1)}), (1, "x1 | !x1", {(0,), (1,)})],
+    )
+    def test_first_check_at_the_cap(self, m, text, expected):
+        # one node: the first check, after run 2^m + 1, is at k*
+        system = BooleanSystem.from_texts(m, [(text, 1)])
+        outcome = solve_exact(system, Graph(1, frozenset()), RunConfig(seed=1))
+        assert len(outcome.diagnostics["rounds"]) == 2**m + 1
+        assert set(outcome.solutions) == expected and outcome.undecided == ()
+
+    def test_cap_below_the_first_check(self, ex2, path3):
+        # ex2's k* = 5 from its image prior is below its first check, after
+        # run 7, so all 5 runs are drawn
+        outcome = solve_exact(ex2, path3, RunConfig(seed=7, k_star=5))
+        assert len(outcome.diagnostics["rounds"]) == 5
+        assert outcome.solutions == ((1, 0, 0),) and outcome.undecided == ()
 
 
 @pytest.mark.parametrize("T", [2, 10, 50, 300])
@@ -671,7 +714,8 @@ class TestTracerContract:
     @pytest.mark.parametrize("mode", ["solve", "solve-approx"])
     def test_one_fit_per_node(self, tracing, ex1, path3, mode):
         # both solve modes take each node's subspace through one
-        # best_affine_fit call, so linalg.fit_* count exact solves too
+        # best_affine_fit call, so linalg.fit_* count exact solves too;
+        # ex1's 4-dimensional hulls certify at the first check, after run 7
         tracer = tracing.Tracer()
         tracer.install(solver)
         try:
@@ -682,6 +726,21 @@ class TestTracerContract:
         finally:
             tracer.uninstall(solver)
         assert [s.name for s in tracer.spans].count("linalg.fit") == path3.n
+
+    def test_one_fit_per_node_per_check(self, tracing):
+        # the exact modes' certificate checks are the nodes' fits: 3 checks
+        # of 6 nodes, after runs 4, 5 and 6
+        doc = SILENT_EMPTY_DOC
+        system = BooleanSystem.from_texts(doc["m"], doc["equations"])
+        graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+        tracer = tracing.Tracer()
+        tracer.install(solver)
+        try:
+            solver.solve_exact(system, graph, RunConfig(**doc["config"]))
+        finally:
+            tracer.uninstall(solver)
+        names = [s.name for s in tracer.spans]
+        assert (names.count("network.lae"), names.count("linalg.fit")) == (6, 18)
 
     def test_batched_pass_counts_run_rounds(self, tracing, ex1, path3):
         # the k* truncated runs are one span, whose rounds still count every
