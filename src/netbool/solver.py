@@ -62,8 +62,9 @@ __all__ = [
 
 Assignment = tuple[int, ...]
 
-# per-round sup-norm state change below which a convergent consensus run
-# stops (``max_rounds`` caps it otherwise)
+# per-round sup-norm change below which a convergent consensus run stops,
+# of the state itself or of the nodes' extrapolated limits
+# (``network.run_to_convergence``; ``max_rounds`` caps it otherwise)
 CONSENSUS_TOL = 1e-10
 # gap between a node's consensus limit and the network average above which
 # satisfiability verification calls the lifted system inconsistent
@@ -74,6 +75,10 @@ RANK_TOL = 1e-6
 # subspace leaves the outcome undecided: the rank threshold then splits no
 # clear gap, so the subspace may have lost a real direction or kept noise
 GAP_MIN = 100.0
+# cap on the truncated mode's membership threshold, below which unit
+# vectors stay distinguishable; a per-run bound above it leaves the outcome
+# undecided, since the capped threshold then bounds nothing
+MEMBER_CAP = 0.25
 # most variables ``oracle_solve`` enumerates: 2^20 assignments
 ORACLE_CAP = 20
 
@@ -160,8 +165,9 @@ def distributed_lae(
     the plain network average.
 
     With ``config.T`` unset, ``run_to_convergence`` iterates one run until
-    the per-round state change drops below ``CONSENSUS_TOL`` (or
-    ``max_rounds``); with ``T`` set, exactly T rounds of ``consensus`` run.
+    the per-round change of its states, or of its nodes' extrapolated
+    limits, drops below ``CONSENSUS_TOL`` (or ``max_rounds``); with ``T``
+    set, exactly T rounds of ``consensus`` run.
     Returns (final states, shaped and C-contiguous like ``initials``, the
     rounds summed over the runs, converged).
     """
@@ -373,20 +379,22 @@ def solve_approximate(
     c* exp(-gamma* T) of the limits that ``solve_exact`` would reach, with
     c* = 2^(m/2) n and gamma* the rate ``estimate_contraction_rate``
     calibrates; both are reported in the diagnostics.  That per-run bound,
-    floored at ``RANK_TOL`` and capped at 0.25, below which unit vectors
-    stay distinguishable, is ``member_tol``: each node takes the
+    floored at ``RANK_TOL`` and capped at ``MEMBER_CAP``, below which unit
+    vectors stay distinguishable, is ``member_tol``: each node takes the
     ``best_affine_fit`` of its outputs at that rank threshold, the exact
     modes' subspace rule, and keeps the unit vectors within ``member_tol``
-    of it.  A fit whose rank gap is below ``GAP_MIN`` leaves the outcome
-    undecided, as do disagreeing nodes.  The k* runs start from the same
-    seeded initials as ``solve_exact``'s, all k* of them; since all stop
-    after T rounds, they step together as one batched ``distributed_lae``
-    pass of T rounds.
+    of it.  A bound above the cap leaves the outcome undecided, since the
+    capped threshold then bounds nothing, and so do a fit whose rank gap
+    is below ``GAP_MIN`` and disagreeing nodes.  The k* runs start from
+    the same seeded initials as ``solve_exact``'s, all k* of them; since
+    all stop after T rounds, they step together as one batched
+    ``distributed_lae`` pass of T rounds.
     """
     eqs, k, linear = _linear_stage(system, graph, config)
     c_star = 2.0 ** (system.m / 2) * graph.n
     gamma_star = estimate_contraction_rate(eqs, graph, config)
-    member_tol = min(max(RANK_TOL, c_star * math.exp(-gamma_star * config.T)), 0.25)
+    bound = c_star * math.exp(-gamma_star * config.T)
+    member_tol = min(max(RANK_TOL, bound), MEMBER_CAP)
     fits = [best_affine_fit(linear[:, i], member_tol) for i in range(graph.n)]
     return _search_outcome(
         "solve-approx",
@@ -403,6 +411,7 @@ def solve_approximate(
             "member_tol": member_tol,
             "fitted_dims": [fit.dim for fit, _ in fits],
         },
+        (f"per-run bound {bound:.3g} exceeds {MEMBER_CAP:g}",) if bound > MEMBER_CAP else (),
     )
 
 

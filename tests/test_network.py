@@ -327,6 +327,62 @@ class TestRunToConvergence:
         )
         assert rounds == 3 and not converged
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_extrapolated_stop(self, ex1, path3, seed):
+        eqs = lift_system(ex1)
+        w = build_weights(path3, 0.3)
+        initials = np.random.default_rng(seed).random((3, 8))
+        states, rounds, converged = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+        assert converged
+        # the plain states up to the round whose sup shift first falls below
+        # tol, where the shift rule alone stops
+        plain = [initials]
+        for x in consensus(w, initials, eqs):
+            plain.append(x)
+            if np.abs(x - plain[-2]).max() < 1e-10:
+                break
+        assert rounds < len(plain) - 1
+        expected = central_projected_average(eqs, initials)
+        distance = np.abs(states - expected).max()
+        assert distance < 1e-8
+        assert distance < np.abs(plain[rounds] - expected).max()
+        # node i's extrapolate moves along its own shift, which lies in the
+        # directions of {y : h_i y = z_i}
+        residual = eqs.h @ states[:, :, None] - eqs.z
+        assert np.abs(residual).max() < 1e-12
+
+    def test_capped_run_returns_the_plain_state(self, ex1, path3):
+        eqs = lift_system(ex1)
+        w = build_weights(path3, 0.3)
+        initials = np.random.default_rng(8).random((3, 8))
+        _, rounds, _ = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+        # a cap inside the extrapolating rounds, just before the stop
+        states, capped, converged = run_to_convergence(w, initials, eqs, 1e-10, rounds - 1)
+        assert capped == rounds - 1 and not converged
+        plain = list(islice(consensus(w, initials, eqs), rounds - 1))[-1]
+        assert np.array_equal(states, plain)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fast", [0.0, -3.0], ids=["zero-shift", "growing-shift"])
+    def test_guarded_nodes_keep_the_plain_state(self, path3, fast):
+        # plain averaging on the path 1-2-3 below the extrapolation guard,
+        # along its slow mode (1, 0, -1) and its fast mode (1, -2, 1): alone,
+        # the slow mode never moves node 2 (powers of two keep its mix of
+        # nodes 1 and 3 exactly zero); mixed in, the fast mode passes node
+        # 1's shift through zero, so that shift grows for a few rounds
+        w = build_weights(path3, 0.25)
+        modes = np.array([1.0, 0.0, -1.0]) + fast * np.array([1.0, -2.0, 1.0])
+        initials = 2.0**-24 * np.tile(modes[:, None], (1, 2))
+        shifts = np.abs(np.diff([initials, *islice(consensus(w, initials), 20)], axis=0))
+        node = shifts.max(axis=2)
+        if fast:
+            assert (node[1:] > node[:-1]).any()
+        else:
+            assert not node[:, 1].any()
+        states, _, converged = run_to_convergence(w, initials, None, 1e-10, 5000)
+        assert converged
+        assert np.abs(states - initials.mean(axis=0)).max() < 1e-9
+
     def test_parameter_validation(self, path3):
         w = build_weights(path3, 0.2)
         with pytest.raises(ValueError):

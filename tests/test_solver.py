@@ -393,9 +393,9 @@ class TestUndecided:
         )
 
     def test_stage_two_reasons_pass_through(self, ex1, path3):
-        # seed 1: stage one converges in 216 rounds, stage two's runs need
-        # up to 220
-        outcome = verify_satisfiability(ex1, path3, RunConfig(seed=1, max_rounds=217))
+        # seed 1: stage one converges in 115 rounds, stage two's runs need
+        # 124 to 150
+        outcome = verify_satisfiability(ex1, path3, RunConfig(seed=1, max_rounds=130))
         assert outcome.diagnostics["limits_converged"]
         assert outcome.stage == "solved"
         assert outcome.undecided == ("consensus hit max_rounds (converged is false)",)
@@ -405,12 +405,32 @@ class TestUndecided:
         assert not outcome.diagnostics["nodes_agree"]
         assert outcome.diagnostics["fitted_dims"] == [3, 2, 3]
         assert outcome.undecided == (
+            "per-run bound 7.74 exceeds 0.25",
             "nodes disagree (nodes_agree is false)",
             *(f"node {i}'s subspace has dimension {dim}, below the floor 2^m - n - 1 = 4"
               for i, dim in ((1, 3), (2, 2), (3, 3))),
             *(f"node {i}'s rank gap {gap} is below 100"
               for i, gap in ((1, "1.93"), (2, "1.86"), (3, "4.08"))),
         )
+
+    def test_capped_bound(self):
+        # from the seeded fuzz: one solution, 00, and at T = 50 a per-run
+        # bound c* exp(-gamma* T) = 10 exp(-0.0296 * 50) = 2.28, which the
+        # capped threshold 0.25 no longer bounds; every node answers [] with
+        # no other check firing
+        system = BooleanSystem.from_texts(2, [
+            ("(((x1 & x2) | x2) <-> x2)", 1),
+            ("x1", 0),
+            ("(((x1 & x2) -> (x1 <-> x2)) & ((x2 -> x2) <-> (x2 & x2)))", 0),
+            ("(x2 & !(x1 -> x1))", 0),
+            ("x2", 0),
+        ])
+        graph = Graph.from_edge_list(5, [[1, 3], [1, 5], [2, 4], [2, 5]])
+        outcome = solve_approximate(system, graph, RunConfig(seed=3781296, T=50))
+        assert oracle_solve(system) == {(0, 0)}
+        assert outcome.per_node_solutions == ((),) * 5
+        assert outcome.diagnostics["member_tol"] == 0.25
+        assert outcome.undecided == ("per-run bound 2.28 exceeds 0.25",)
 
 
 class TestSearchThreshold:
