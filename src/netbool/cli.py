@@ -21,7 +21,8 @@ Identical problem files and seeds produce byte-identical documents.
 An outcome is undecided when the solver lists reasons in its
 ``undecided`` field (the nodes' solution sets disagree, a node's subspace
 fails the dimension floor or the rank gap, a consensus stage hit
-``max_rounds``); the document carries them as its ``undecided`` list,
+``max_rounds``, a truncated node has no contraction rate or too large a
+threshold); the document carries them as its ``undecided`` list,
 and ``solve``, ``solve-approx`` and ``sat`` print one ``warning:`` line
 per reason to stderr.
 """

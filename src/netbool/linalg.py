@@ -5,8 +5,9 @@ subspace.
 Matrices and vectors are plain numpy float arrays.  ``best_affine_fit``
 decides the rank by an absolute threshold that the caller passes: a
 singular value counts only when it is above it.  The exact modes pass the
-rank threshold of converged limits, the truncated mode the per-run bound
-on its outputs' distance from those limits.  One thin SVD per call.
+rank threshold of converged limits, the truncated mode each node's own
+bound on its outputs' distance from those limits, scaled to a spectral
+norm.  One thin SVD per call.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ Four entry points:
   the hull of the resulting solutions (requires a satisfiable system);
 * ``solve_approximate`` - consensus truncated to T rounds per run, all
   runs stepped as one batch; each node takes the same affine subspace of
-  its outputs, at a threshold raised to the per-run bound on their
-  distance from the limits, then searches that;
+  its outputs, at a threshold raised to the bound on their distance from
+  the limits that its own last two rounds give, then searches that;
 * ``verify_satisfiability`` - decide satisfiability with no prior
   knowledge: disagreeing consensus limits expose an inconsistent lifted
   system, an empty search result exposes Boolean unsatisfiability;
@@ -22,8 +22,8 @@ Both solve modes take each node's subspace through ``best_affine_fit``,
 then answer through ``_search_outcome``: a node's answer is the unit
 vectors of its own subspace, and only ``oracle_solve`` evaluates the
 whole system.  The modes differ in their runs (``_certified_runs`` for
-the exact modes, ``_linear_stage`` for the truncated one) and in the
-rank threshold that follows from their stop rule.
+the exact modes, one batched T-round pass for the truncated one) and in
+the rank threshold that follows from their stop rule.
 
 All randomness flows from the seed in ``RunConfig``; identical
 configurations produce identical outputs.
@@ -69,16 +69,12 @@ CONSENSUS_TOL = 1e-10
 # gap between a node's consensus limit and the network average above which
 # satisfiability verification calls the lifted system inconsistent
 DISAGREEMENT_TOL = 1e-6
-# exact hulls' rank threshold; also floors the truncated mode's threshold
+# exact hulls' rank threshold; also floors the truncated mode's thresholds
 RANK_TOL = 1e-6
 # smallest kept over largest dropped singular value below which a node's
 # subspace leaves the outcome undecided: the rank threshold then splits no
 # clear gap, so the subspace may have lost a real direction or kept noise
 GAP_MIN = 100.0
-# cap on the truncated mode's membership threshold, below which unit
-# vectors stay distinguishable; a per-run bound above it leaves the outcome
-# undecided, since the capped threshold then bounds nothing
-MEMBER_CAP = 0.25
 # most variables ``oracle_solve`` enumerates: 2^20 assignments
 ORACLE_CAP = 20
 
@@ -94,10 +90,11 @@ class RunConfig:
     consensus runs and the most runs the exact modes draw: they stop
     earlier once every node's hull is certified complete.  ``T``, the
     truncated mode's rounds per run, is refused by the other modes, and
-    ``max_rounds`` caps the convergent runs of those modes only; the
-    truncated mode's residual-bound constants c* and gamma* are not
-    fields, ``solve_approximate`` computes them.  The other thresholds are
-    module constants or, for the search, come from the lift.
+    ``max_rounds`` caps the convergent runs of those modes only.  The
+    truncated mode's thresholds are no fields: each node reads its own
+    from its last two rounds (``solve_approximate``).  The other
+    thresholds are module constants or, for the search, come from the
+    lift.
     """
 
     epsilon: float | None = None
@@ -139,7 +136,8 @@ class SolveOutcome:
     set by satisfiability verification.  ``undecided`` holds one short
     reason per condition that keeps the outcome from being an answer (the
     nodes' sets disagree, a node's subspace fails the dimension floor or
-    the rank gap, a consensus run hit ``max_rounds``); it is empty exactly
+    the rank gap, a consensus run hit ``max_rounds``, a truncated node has
+    no contraction rate or too large a threshold); it is empty exactly
     when the outcome is decided.
     """
 
@@ -158,7 +156,7 @@ def distributed_lae(
     graph: Graph,
     config: RunConfig,
     initials: np.ndarray,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, bool, list[np.ndarray] | None]:
     """Projection-consensus runs of the network linear equation from
     ``initials``: one run's (n, d) states, or with ``T`` set a batch of k
     runs as (k, n, d) that step together.  With ``eqs`` None the runs are
@@ -169,19 +167,26 @@ def distributed_lae(
     limits, drops below ``CONSENSUS_TOL`` (or ``max_rounds``); with ``T``
     set, exactly T rounds of ``consensus`` run.
     Returns (final states, shaped and C-contiguous like ``initials``, the
-    rounds summed over the runs, converged).
+    rounds summed over the runs, converged, shifts): ``shifts`` is None
+    without ``T``, else each node's sup change over the runs in rounds
+    T - 1 and T, as (n,) arrays, taken between rounds' outputs only, as
+    the pass lets the initials go, so T < 3 gives fewer.
     """
     w = build_weights(graph, config.effective_epsilon(graph.n))
     if config.T is None:
-        return run_to_convergence(
-            w, initials, eqs, CONSENSUS_TOL, config.max_rounds
-        )
+        return (*run_to_convergence(w, initials, eqs, CONSENSUS_TOL, config.max_rounds), None)
     runs = len(initials) if np.ndim(initials) == 3 else 1
     states = initials
     del initials  # the first round rebinds ``states``, and the initials go
-    for states in islice(consensus(w, states, eqs), config.T):
-        pass
-    return np.ascontiguousarray(states), runs * config.T, True
+    shifts, prev = [], None
+    for t, states in enumerate(islice(consensus(w, states, eqs), config.T), start=1):
+        if prev is not None:
+            # the generator no longer reads the previous round's states, so
+            # the shift overwrites them rather than take a fourth array
+            np.abs(np.subtract(states, prev, out=prev), out=prev)
+            shifts.append(prev.max(axis=(0, 2)) if prev.ndim == 3 else prev.max(axis=1))
+        prev = states if t >= config.T - 2 else None
+    return np.ascontiguousarray(states), runs * config.T, True, shifts
 
 
 def _start(
@@ -203,18 +208,6 @@ def _start(
     if k < 1:
         raise ValueError(f"k_star must be >= 1, got {k}")
     return k, lift_system(system), np.random.default_rng(config.seed)
-
-
-def _linear_stage(
-    system: BooleanSystem, graph: Graph, config: RunConfig
-) -> tuple[LiftedSystem, int, np.ndarray]:
-    """The lift and the truncated mode's k* seeded fixed-horizon
-    ``distributed_lae`` runs, which all stop at round T and so step as one
-    batched pass.  Returns (the lift, k*, the runs' states as
-    (k*, n, 2^m))."""
-    k, eqs, rng = _start(system, graph, config, True)
-    states, _, _ = distributed_lae(eqs, graph, config, rng.random((k, graph.n, 2**system.m)))
-    return eqs, k, states
 
 
 def _certified_runs(
@@ -239,7 +232,7 @@ def _certified_runs(
     first_check = min(max(3, d - n + 2), k)
     states, rounds, converged = [], [], True
     for j in range(1, k + 1):
-        x, r, c = distributed_lae(eqs, graph, config, rng.random((n, d)))
+        x, r, c, _ = distributed_lae(eqs, graph, config, rng.random((n, d)))
         states.append(x)
         rounds.append(r)
         converged = converged and c
@@ -263,17 +256,18 @@ def _assignment(i: int, m: int) -> Assignment:
 def _search_outcome(
     mode: str,
     fits: Sequence[tuple[AffineSubspace, float | None]],
-    tol: float,
+    tols: Sequence[float],
     m: int,
     linear: np.ndarray,
     diagnostics: dict,
     undecided: tuple[str, ...] = (),
 ) -> SolveOutcome:
-    """Each node's solution set is exactly the unit vectors within ``tol``
-    of its own subspace, as assignments; ``nodes_agree`` says whether all
-    nodes found the same set, and the outcome reports node 1's.  ``fits``
-    holds each node's ``best_affine_fit``, its subspace and rank gap, and
-    the gaps are reported as ``rank_gaps``.  After the linear stage's own
+    """Each node's solution set is exactly the unit vectors within its own
+    entry of ``tols`` of its own subspace, as assignments; ``nodes_agree``
+    says whether all nodes found the same set, and the outcome reports node
+    1's.  ``fits`` holds each node's ``best_affine_fit``, its subspace and
+    rank gap, and the gaps are reported as ``rank_gaps``.  After the linear
+    stage's own
     ``undecided`` reasons, nodes that disagree leave the outcome
     undecided, and so does each node whose subspace has dimension below
     2^m - n - 1 (every lifted equation's two rows sum to the ones vector,
@@ -284,7 +278,7 @@ def _search_outcome(
     diagnostics["rank_gaps"] = list(gaps)
     per_node = tuple(
         tuple(_assignment(i, m) for i in sorted(boolean_vector_search(sub, tol)))
-        for sub in subspaces
+        for sub, tol in zip(subspaces, tols)
     )
     agree = all(s == per_node[0] for s in per_node)
     diagnostics["nodes_agree"] = agree
@@ -333,7 +327,7 @@ def solve_exact(
     return _search_outcome(
         "solve",
         fits,
-        math.sqrt(RANK_TOL * 2.0 / math.sqrt(2**system.m)),
+        [math.sqrt(RANK_TOL * 2.0 / math.sqrt(2**system.m))] * graph.n,
         system.m,
         linear,
         {"k_star": k, "rounds": rounds, "converged": converged},
@@ -342,32 +336,18 @@ def solve_exact(
 
 
 def estimate_contraction_rate(
-    eqs: LiftedSystem, graph: Graph, config: RunConfig
-) -> float:
-    """Per-round exponential decay rate of the projection-consensus state
-    change, fitted on an observed 400-round run from seeded random initials.
-
-    The fitted slope is shrunk by 20% so the returned rate errs toward a
-    conservative (smaller) value, as the truncated mode's rank threshold
-    requires a lower bound on the true rate.
+    before: np.ndarray, last: np.ndarray
+) -> list[float | None]:
+    """Each node's contraction rate rho_i = a_i / b_i, from its sup shifts
+    b_i and a_i in two consecutive rounds.  A node whose last shift is
+    below ``CONSENSUS_TOL`` sits at the rounding floor, where its shifts
+    are rounding noise, and counts as converged: rate 0.  Above that
+    floor, a shift that did not shrink (b_i <= a_i) gives no rate: None.
     """
-    rng = np.random.default_rng(config.seed + 0x5EED)
-    w = build_weights(graph, config.effective_epsilon(graph.n))
-    prev = rng.random((graph.n, eqs.h.shape[2]))
-    shifts: list[float] = []
-    for states in islice(consensus(w, prev, eqs), 400):
-        shifts.append(float(np.abs(states - prev).max()))
-        prev = states
-    # fit log-shift only over the cleanly decaying window
-    usable = [
-        (t, math.log(s)) for t, s in enumerate(shifts) if 1e-13 < s < 1e-2
+    return [
+        0.0 if a < CONSENSUS_TOL else a / b if b > a else None
+        for b, a in zip(before.tolist(), last.tolist())
     ]
-    if len(usable) < 10:
-        return 0.05  # no measurable decay window; fall back to a slow rate
-    ts = np.array([t for t, _ in usable])
-    logs = np.array([v for _, v in usable])
-    slope = float(np.polyfit(ts, logs, 1)[0])
-    return max(0.8 * -slope, 1e-3)
 
 
 def solve_approximate(
@@ -375,43 +355,53 @@ def solve_approximate(
 ) -> SolveOutcome:
     """Distributed solve with the linear stage truncated to T rounds.
 
-    Each node keeps its own T-round outputs, which lie within
-    c* exp(-gamma* T) of the limits that ``solve_exact`` would reach, with
-    c* = 2^(m/2) n and gamma* the rate ``estimate_contraction_rate``
-    calibrates; both are reported in the diagnostics.  That per-run bound,
-    floored at ``RANK_TOL`` and capped at ``MEMBER_CAP``, below which unit
-    vectors stay distinguishable, is ``member_tol``: each node takes the
-    ``best_affine_fit`` of its outputs at that rank threshold, the exact
-    modes' subspace rule, and keeps the unit vectors within ``member_tol``
-    of it.  A bound above the cap leaves the outcome undecided, since the
-    capped threshold then bounds nothing, and so do a fit whose rank gap
-    is below ``GAP_MIN`` and disagreeing nodes.  The k* runs start from
-    the same seeded initials as ``solve_exact``'s, all k* of them; since
-    all stop after T rounds, they step together as one batched
-    ``distributed_lae`` pass of T rounds.
+    The k* runs start from ``solve_exact``'s seeded initials and, since
+    all stop at round T, step as one batched ``distributed_lae`` pass.
+    Each node bounds its outputs' distance from their limits from its own
+    last two rounds: with a_i and b_i its sup shifts in rounds T and
+    T - 1 and rho_i = a_i / b_i (``estimate_contraction_rate``), Aitken's
+    Delta^2 ratio estimates it as beta_i = a_i rho_i / (1 - rho_i).  A
+    k* x d perturbation (d = 2^m) with entries at most beta_i has spectral
+    norm at most sqrt(k* d) beta_i, so by Weyl's inequality no noise
+    direction of the centred outputs rises above it: max(``RANK_TOL``,
+    sqrt(k* d) beta_i) is the node's ``best_affine_fit`` rank threshold
+    and search slack, reported as ``member_tols`` beside ``bounds``.
+    A node without a rate (its shift did not shrink, or T < 3) or with a
+    threshold not below 1/sqrt(d), half the lift's 2/sqrt(d) gap to any
+    non-solution, leaves the outcome undecided and fits and searches at
+    1/sqrt(d); so do a rank gap below ``GAP_MIN`` and disagreeing nodes.
     """
-    eqs, k, linear = _linear_stage(system, graph, config)
-    c_star = 2.0 ** (system.m / 2) * graph.n
-    gamma_star = estimate_contraction_rate(eqs, graph, config)
-    bound = c_star * math.exp(-gamma_star * config.T)
-    member_tol = min(max(RANK_TOL, bound), MEMBER_CAP)
-    fits = [best_affine_fit(linear[:, i], member_tol) for i in range(graph.n)]
+    k, eqs, rng = _start(system, graph, config, True)
+    d = 2**system.m
+    linear, _, _, shifts = distributed_lae(eqs, graph, config, rng.random((k, graph.n, d)))
+    rates = estimate_contraction_rate(*shifts) if len(shifts) == 2 else [None] * graph.n
+    cap = 1 / math.sqrt(d)
+    bounds, tols, undecided = [], [], ()
+    for i, rate in enumerate(rates, start=1):
+        bound = None if rate is None else float(shifts[1][i - 1]) * rate / (1 - rate)
+        tol = cap if bound is None else max(RANK_TOL, math.sqrt(k * d) * bound)
+        if bound is None:
+            undecided += (f"node {i}'s shifts give no contraction rate at T = {config.T}",)
+        elif tol >= cap:
+            undecided += (f"node {i}'s threshold {tol:.3g} is not below 1/sqrt(2^m) = {cap:.3g}",)
+        bounds.append(bound)
+        tols.append(min(tol, cap))
+    fits = [best_affine_fit(linear[:, i], tol) for i, tol in enumerate(tols)]
     return _search_outcome(
         "solve-approx",
         fits,
-        member_tol,
+        tols,
         system.m,
         linear,
         {
             "k_star": k,
             "T": config.T,
             "rounds": [config.T] * k,
-            "c_star": c_star,
-            "gamma_star": gamma_star,
-            "member_tol": member_tol,
+            "bounds": bounds,
+            "member_tols": tols,
             "fitted_dims": [fit.dim for fit, _ in fits],
         },
-        (f"per-run bound {bound:.3g} exceeds {MEMBER_CAP:g}",) if bound > MEMBER_CAP else (),
+        undecided,
     )
 
 
@@ -437,8 +427,8 @@ def verify_satisfiability(
     # stage one: per-node projection-consensus limits, then the network's
     # own average of them
     initials = rng.random((graph.n, 2**system.m))
-    limits, limit_rounds, limits_converged = distributed_lae(eqs, graph, config, initials)
-    averaged, avg_rounds, avg_converged = distributed_lae(None, graph, config, limits)
+    limits, limit_rounds, limits_converged, _ = distributed_lae(eqs, graph, config, initials)
+    averaged, avg_rounds, avg_converged, _ = distributed_lae(None, graph, config, limits)
     node_gaps = np.abs(averaged - limits).max(axis=1)
     node_flags = node_gaps > DISAGREEMENT_TOL
     diagnostics = {
