@@ -22,7 +22,7 @@ An outcome is undecided when the solver lists reasons in its
 ``undecided`` field (the nodes' solution sets disagree, a node's subspace
 fails the dimension floor or the rank gap, a consensus stage hit
 ``max_rounds``, a truncated node has no contraction rate or too large a
-threshold); the document carries them as its ``undecided`` list,
+threshold or search slack); the document carries them as its ``undecided`` list,
 and ``solve``, ``solve-approx`` and ``sat`` print one ``warning:`` line
 per reason to stderr.
 """
@@ -37,14 +37,13 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .matricization import lift_system
 from .network import build_weights, consensus
 from .problem import ProblemError, ProblemFile, load_problem, merge_config
 from .solver import (
     RunConfig,
     SolveOutcome,
+    SplitMix64,
     oracle_solve,
     solve_approximate,
     solve_exact,
@@ -142,9 +141,8 @@ def _write_trace(problem: ProblemFile, config: RunConfig, path: str | None, roun
     system = problem.system()
     graph = problem.graph()
     eqs = lift_system(system)
-    rng = np.random.default_rng(config.seed)
     w = build_weights(graph, config.effective_epsilon(graph.n))
-    initials = rng.random((graph.n, 2**system.m))
+    initials = SplitMix64(config.seed).random((graph.n, 2**system.m))
     frames = chain([initials], islice(consensus(w, initials, eqs), rounds))
 
     out = sys.stdout if path is None else open(path, "w", newline="")

@@ -13,10 +13,12 @@ keeps one projection workspace, the residual and correction arrays its
 rounds overwrite, while every round's state is a fresh array.  Rounds
 are deterministic: each is a fixed sequence of array products, so under
 a fixed BLAS identical inputs give bit-identical trajectories.
-``run_to_convergence`` steps one run to its limit: each node reads its
-own last two shifts and, once they are small, returns Aitken's
-extrapolate of its own trajectory, which stops a linearly convergent run
-about half as many rounds in, and nearer its limit, than the shift stop.
+``run_to_convergence`` steps one run, or a batch of runs, each to its
+own limit: each node reads its own last two shifts and, once they are
+small, returns Aitken's extrapolate of its own trajectory, which stops a
+linearly convergent run about half as many rounds in, and nearer its
+limit, than the shift stop.  A run that stops leaves the batch, and the
+others step on without it.
 """
 
 from __future__ import annotations
@@ -177,56 +179,101 @@ def run_to_convergence(
     eqs: LiftedSystem | None,
     tol: float,
     max_rounds: int,
-) -> tuple[np.ndarray, int, bool]:
-    """Run ``consensus(w, states, eqs)`` on one run's (n, d) ``states``
-    until it converges, or for ``max_rounds``.  Returns (final states,
-    rounds used, converged).  A (k, n, d) batch is refused: its runs
-    converge at different rounds, and one stop would hide that.
+) -> tuple[np.ndarray, list[int], list[bool]]:
+    """Run ``consensus(w, states, eqs)`` until each run converges, or for
+    ``max_rounds``.  ``states`` is one run's (n, d) array or a batch of k
+    runs as (k, n, d) that step together, each run to its own stop round.
+    Returns (final states, shaped like ``states``, each run's rounds used,
+    whether each run converged), the last two as lists of k ``int`` and
+    ``bool``, one entry for one run's (n, d) states.
 
-    Two stops, sup norms throughout.  A round whose largest per-node
-    state change is below ``tol`` returns that round's state at once.
-    Once that change is below ``EXTRAPOLATE_BELOW``, each node i also
-    reads its own last two shifts s_i and returns Aitken's Delta^2 limit
-    of its own trajectory: with rho_i = |s_i(t)| / |s_i(t-1)|, the
-    extrapolate is x_i(t) + s_i(t) rho_i / (1 - rho_i), and the run
-    stops once no node's extrapolate moves by ``tol`` in one round.  A
-    node with a zero shift or rho_i >= 1 keeps its plain state.  The
-    stop is the AND of the nodes' bits, each from the node's own states
-    only; the rounds and messages are those of ``consensus``.  With
+    Two stops per run, sup norms throughout.  A round whose largest
+    per-node state change in the run is below ``tol`` stops the run with
+    that round's state.  Once that change is below ``EXTRAPOLATE_BELOW``,
+    each node i also reads its own last two shifts s_i and returns
+    Aitken's Delta^2 limit of its own trajectory: with rho_i = |s_i(t)| /
+    |s_i(t-1)|, the extrapolate is x_i(t) + s_i(t) rho_i / (1 - rho_i),
+    and the run stops once no node's extrapolate moves by ``tol`` in one
+    round.  A node with a zero shift or rho_i >= 1 keeps its plain state.
+    The stop is the AND of the run's node bits, each from the node's own
+    states only; the rounds and messages are those of ``consensus``.  With
     equations, each x_i(t) and x_i(t-1) lies in node i's own solution
     set, so the extrapolate, which moves along s_i, stays in it.  A run
-    cut by ``max_rounds`` returns the plain state.
+    cut by ``max_rounds`` returns the plain state.  A run that stops
+    leaves the batch: ``consensus`` restarts from the other runs' current
+    states, so each run's rounds are those it would take alone (batched
+    products may round a last bit differently).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if np.ndim(states) == 3 and np.shape(states)[1] == w.shape[0]:
-        raise ValueError(
-            f"run_to_convergence steps one run's (n, d) states, got a batch "
-            f"of shape {np.shape(states)}"
-        )
-    prev, last, prev_est = states, None, None
-    for rounds, x in enumerate(consensus(w, states, eqs), start=1):
+    single = np.ndim(states) == 2
+    prev = np.asarray(states, dtype=float)
+    if single:
+        prev = prev[None]  # one run is the batch of one
+    k = len(prev)
+    final = np.empty_like(prev)
+    rounds, converged = [0] * k, [False] * k
+    # per running run: its index in ``states``, its rounds in a row below
+    # EXTRAPOLATE_BELOW (None while every run is above it), and each
+    # node's last sup shift and last extrapolate.  Per-run scalars are
+    # Python lists: a batch holds a few dozen runs at most, and a round
+    # at d <= 16 is mostly interpreter time
+    active, streak, last, prev_est = list(range(k)), None, None, None
+    quiet = max(tol, EXTRAPOLATE_BELOW)  # no run stops or extrapolates above it
+    largest_of = np.maximum.reduce
+    runs = consensus(w, prev, eqs)
+    for t in range(1, max_rounds + 1):
+        x = next(runs)
         shift = x - prev
         size = np.abs(shift)
-        largest = size.max()
-        if largest < tol:
-            return x, rounds, True
-        if rounds == max_rounds:
-            return x, rounds, False
-        prev = x
-        if largest >= EXTRAPOLATE_BELOW:
-            last = prev_est = None  # a node's two shifts must be consecutive
+        largest = largest_of(size, axis=(1, 2)).tolist()
+        if t < max_rounds and min(largest) >= quiet:
+            prev, streak = x, None
             continue
-        node = size.max(axis=1)
-        if last is not None:
+        done = [s < tol for s in largest]
+        if t == max_rounds:
+            final[active] = x
+            for j, c in zip(active, done):
+                rounds[j], converged[j] = t, c
+            break
+        streak = [
+            s + 1 if a < EXTRAPOLATE_BELOW else 0
+            for s, a in zip(streak or [0] * len(active), largest)
+        ]
+        node = largest_of(size, axis=2)
+        settled = [False] * len(active)
+        if max(streak) >= 2:
             # rho / (1 - rho) = node / (last - node); a node with rho >= 1
             # or a zero last shift divides by inf, not by zero, and keeps
-            # its plain state without a warning
-            shift *= (node / np.where(last > node, last - node, np.inf))[:, None]
+            # its plain state without a warning.  A run extrapolates from
+            # its second round below the guard and may stop from its
+            # third: a node's two shifts, and two extrapolates, must be
+            # consecutive
+            shift *= (node / np.where(last > node, last - node, np.inf))[:, :, None]
             est = shift + x
-            if prev_est is not None and np.abs(est - prev_est).max() < tol:
-                return est, rounds, True
+            if max(streak) >= 3:
+                moved = largest_of(np.abs(est - prev_est), axis=(1, 2)).tolist()
+                settled = [s >= 3 and a < tol and not p for s, a, p in zip(streak, moved, done)]
             prev_est = est
         last = node
+        if not (any(done) or any(settled)):
+            prev = x
+            continue
+        going = []
+        for j, (plain, extrapolated) in enumerate(zip(done, settled)):
+            if plain or extrapolated:
+                final[active[j]] = est[j] if extrapolated else x[j]
+                rounds[active[j]], converged[active[j]] = t, True
+            else:
+                going.append(j)
+        if not going:
+            break
+        active = [active[j] for j in going]
+        streak = [streak[j] for j in going]
+        prev, last = x[going], last[going]
+        if prev_est is not None:
+            prev_est = prev_est[going]
+        runs = consensus(w, prev, eqs)
+    return (final[0] if single else final), rounds, converged

@@ -5,13 +5,16 @@ the consensus outputs.
 
 Four entry points:
 
-* ``solve_exact``       - run consensus to numerical convergence, one run
-  after another until every node's hull is certified complete, search
-  the hull of the resulting solutions (requires a satisfiable system);
+* ``solve_exact``       - run consensus to numerical convergence, the
+  runs up to the first certificate check as one batch in which each run
+  stops at its own round, then one run at a time until every node's
+  hull is certified complete, search the hull of the resulting solutions
+  (requires a satisfiable system);
 * ``solve_approximate`` - consensus truncated to T rounds per run, all
   runs stepped as one batch; each node takes the same affine subspace of
   its outputs, at a threshold raised to the bound on their distance from
-  the limits that its own last two rounds give, then searches that;
+  the limits that its own last two rounds give, then searches that at a
+  slack that also bounds how far the fit may tilt;
 * ``verify_satisfiability`` - decide satisfiability with no prior
   knowledge: disagreeing consensus limits expose an inconsistent lifted
   system, an empty search result exposes Boolean unsatisfiability;
@@ -23,10 +26,11 @@ then answer through ``_search_outcome``: a node's answer is the unit
 vectors of its own subspace, and only ``oracle_solve`` evaluates the
 whole system.  The modes differ in their runs (``_certified_runs`` for
 the exact modes, one batched T-round pass for the truncated one) and in
-the rank threshold that follows from their stop rule.
+the rank threshold and search slack that follow from their stop rule.
 
-All randomness flows from the seed in ``RunConfig``; identical
-configurations produce identical outputs.
+All randomness flows from the seed in ``RunConfig``, through
+``SplitMix64`` streams; identical configurations produce identical
+outputs.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .search import boolean_vector_search
 __all__ = [
     "RunConfig",
     "SolveOutcome",
+    "SplitMix64",
     "distributed_lae",
     "solve_exact",
     "solve_approximate",
@@ -94,7 +99,8 @@ class RunConfig:
     truncated mode's thresholds are no fields: each node reads its own
     from its last two rounds (``solve_approximate``).  The other
     thresholds are module constants or, for the search, come from the
-    lift.
+    lift.  ``seed``, in [0, 2^64), seeds the ``SplitMix64`` stream that
+    draws every consensus run's initials.
     """
 
     epsilon: float | None = None
@@ -114,9 +120,12 @@ class RunConfig:
             if not (number or integer or value is f.default is None):
                 kind = "a number" if f.name == "epsilon" else "an integer"
                 raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-        # numpy's own refusal of a negative seed names no parameter
+        # the stream's own refusal of a seed outside [0, 2^64) names no
+        # parameter
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be below 2^64, got {self.seed}")
 
     def effective_epsilon(self, n: int) -> float:
         return self.epsilon if self.epsilon is not None else 0.9 / n
@@ -137,8 +146,8 @@ class SolveOutcome:
     reason per condition that keeps the outcome from being an answer (the
     nodes' sets disagree, a node's subspace fails the dimension floor or
     the rank gap, a consensus run hit ``max_rounds``, a truncated node has
-    no contraction rate or too large a threshold); it is empty exactly
-    when the outcome is decided.
+    no contraction rate or too large a threshold or search slack); it is
+    empty exactly when the outcome is decided.
     """
 
     mode: str
@@ -156,25 +165,30 @@ def distributed_lae(
     graph: Graph,
     config: RunConfig,
     initials: np.ndarray,
-) -> tuple[np.ndarray, int, bool, list[np.ndarray] | None]:
+) -> tuple[np.ndarray, int, bool, list]:
     """Projection-consensus runs of the network linear equation from
-    ``initials``: one run's (n, d) states, or with ``T`` set a batch of k
-    runs as (k, n, d) that step together.  With ``eqs`` None the runs are
-    the plain network average.
+    ``initials``: one run's (n, d) states, or a batch of k runs as
+    (k, n, d) that step together.  With ``eqs`` None the runs are the
+    plain network average.
 
-    With ``config.T`` unset, ``run_to_convergence`` iterates one run until
-    the per-round change of its states, or of its nodes' extrapolated
-    limits, drops below ``CONSENSUS_TOL`` (or ``max_rounds``); with ``T``
-    set, exactly T rounds of ``consensus`` run.
-    Returns (final states, shaped and C-contiguous like ``initials``, the
-    rounds summed over the runs, converged, shifts): ``shifts`` is None
-    without ``T``, else each node's sup change over the runs in rounds
-    T - 1 and T, as (n,) arrays, taken between rounds' outputs only, as
-    the pass lets the initials go, so T < 3 gives fewer.
+    With ``config.T`` unset, ``run_to_convergence`` iterates each run
+    until the per-round change of its states, or of its nodes'
+    extrapolated limits, drops below ``CONSENSUS_TOL`` (or
+    ``max_rounds``), each run to its own round; with ``T`` set, exactly T
+    rounds of ``consensus`` run.  Returns (final states, shaped and
+    C-contiguous like ``initials``, the rounds summed over the runs,
+    whether every run converged, a list): without ``T`` the list holds
+    each run's rounds, one entry for one run's (n, d) states; with ``T``
+    it holds each node's sup change over the runs in rounds T - 1 and T,
+    as (n,) arrays, taken between rounds' outputs only, as the pass lets
+    the initials go, so T < 3 gives fewer.
     """
     w = build_weights(graph, config.effective_epsilon(graph.n))
     if config.T is None:
-        return (*run_to_convergence(w, initials, eqs, CONSENSUS_TOL, config.max_rounds), None)
+        states, rounds, converged = run_to_convergence(
+            w, initials, eqs, CONSENSUS_TOL, config.max_rounds
+        )
+        return states, sum(rounds), all(converged), rounds
     runs = len(initials) if np.ndim(initials) == 3 else 1
     states = initials
     del initials  # the first round rebinds ``states``, and the initials go
@@ -189,13 +203,48 @@ def distributed_lae(
     return np.ascontiguousarray(states), runs * config.T, True, shifts
 
 
+class SplitMix64:
+    """The stream every consensus run's initials come from: SplitMix64
+    (Steele, Lea and Flood, OOPSLA 2014) from ``seed``, and the count of
+    words drawn so far.  Word i, counting from 1, mixes the state
+    seed + i * 0x9E3779B97F4A7C15 (mod 2^64), computed for a whole draw
+    as uint64 array operations, which wrap silently where numpy scalars
+    would warn.  A double is the word's top 53 bits times 2^-53, uniform
+    on [0, 1).  Draws are consecutive blocks of one stream, so however the
+    runs are grouped, run j's (n, d) initials are the stream's j-th
+    block."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.drawn = 0
+
+    def words(self, count: int) -> np.ndarray:
+        z = np.arange(self.drawn + 1, self.drawn + count + 1, dtype=np.uint64)
+        self.drawn += count
+        z *= 0x9E3779B97F4A7C15
+        z += np.uint64(self.seed)
+        z ^= z >> 30
+        z *= 0xBF58476D1CE4E5B9
+        z ^= z >> 27
+        z *= 0x94D049BB133111EB
+        z ^= z >> 31
+        return z
+
+    def random(self, shape: tuple[int, ...]) -> np.ndarray:
+        z = self.words(math.prod(shape))
+        z >>= 11
+        x = z.astype(float)
+        x *= 2.0**-53
+        return x.reshape(shape)
+
+
 def _start(
     system: BooleanSystem, graph: Graph, config: RunConfig, truncated: bool
-) -> tuple[int, LiftedSystem, np.random.Generator]:
+) -> tuple[int, LiftedSystem, SplitMix64]:
     """Checks one graph node per equation, a horizon ``T`` >= 1 exactly when
     the mode truncates consensus (``max_rounds`` caps the other modes), and
     at least one consensus run; returns that run count k*, the lift and the
-    seeded generator every consensus run's initials come from."""
+    seeded stream every consensus run's initials come from."""
     if truncated and config.T is None:
         raise ValueError("solve_approximate requires a finite T in the config")
     if not truncated and config.T is not None:
@@ -207,42 +256,40 @@ def _start(
     k = config.effective_k_star(system.m)
     if k < 1:
         raise ValueError(f"k_star must be >= 1, got {k}")
-    return k, lift_system(system), np.random.default_rng(config.seed)
+    return k, lift_system(system), SplitMix64(config.seed)
 
 
 def _certified_runs(
     system: BooleanSystem, graph: Graph, config: RunConfig
 ) -> tuple[int, np.ndarray, list[int], bool, list[tuple[AffineSubspace, float | None]]]:
-    """The exact modes' convergent ``distributed_lae`` runs, one by one,
-    each to its own round, until every node's hull is certified complete,
-    with k* as the cap.  A run's limits are an affine image of its uniform
-    initials, so a new limit adds a direction to a hull unless the hull is
-    complete.  After run j >= max(3, 2^m - n + 2) (no consistent hull,
-    whose dimension is at least 2^m - n - 1, certifies earlier), each node
-    fits its j limits at ``RANK_TOL``, and a dimension of at most j - 3,
-    two runs that added no direction, certifies it.  The stop is the AND
-    of the nodes' bits, which a flood would take at most the diameter in
-    rounds to spread; the simulation reads the bits directly.  Run j's
-    initials are the generator's j-th (n, 2^m) draw, a prefix of the k*
-    runs one draw of (k*, n, 2^m) makes.  Returns (k*, the states as
+    """The exact modes' convergent ``distributed_lae`` runs, each to its
+    own round, until every node's hull is certified complete, with k* as
+    the cap.  A run's limits are an affine image of its uniform initials,
+    so a new limit adds a direction to a hull unless the hull is complete.
+    After run j >= max(3, 2^m - n + 2) (no consistent hull, whose
+    dimension is at least 2^m - n - 1, certifies earlier), each node fits
+    its j limits at ``RANK_TOL``, and a dimension of at most j - 3, two
+    runs that added no direction, certifies it.  So the runs up to the
+    first check step as one batch, and later runs one at a time.  The stop
+    is the AND of the nodes' bits, which a flood would take at most the
+    diameter in rounds to spread; the simulation reads the bits directly.
+    Run j's initials are the stream's j-th (n, 2^m) block, a prefix of the
+    k* runs one draw of (k*, n, 2^m) makes.  Returns (k*, the states as
     (runs, n, 2^m), per-run rounds, whether every run converged, the last
     check's fits)."""
-    k, eqs, rng = _start(system, graph, config, False)
+    k, eqs, stream = _start(system, graph, config, False)
     n, d = graph.n, 2**system.m
-    first_check = min(max(3, d - n + 2), k)
-    states, rounds, converged = [], [], True
-    for j in range(1, k + 1):
-        x, r, c, _ = distributed_lae(eqs, graph, config, rng.random((n, d)))
-        states.append(x)
+    j = min(max(3, d - n + 2), k)
+    linear, _, converged, rounds = distributed_lae(eqs, graph, config, stream.random((j, n, d)))
+    while True:
+        fits = [best_affine_fit(linear[:, i], RANK_TOL) for i in range(n)]
+        if j == k or all(fit.dim <= j - 3 for fit, _ in fits):
+            return k, linear, rounds, converged, fits
+        x, r, c, _ = distributed_lae(eqs, graph, config, stream.random((n, d)))
+        linear = np.concatenate((linear, x[None]))
         rounds.append(r)
         converged = converged and c
-        if j < first_check:
-            continue
-        linear = np.stack(states)
-        fits = [best_affine_fit(linear[:, i], RANK_TOL) for i in range(n)]
-        if all(fit.dim <= j - 3 for fit, _ in fits):
-            break
-    return k, linear, rounds, converged, fits
+        j += 1
 
 
 @lru_cache(maxsize=4096)
@@ -364,16 +411,25 @@ def solve_approximate(
     k* x d perturbation (d = 2^m) with entries at most beta_i has spectral
     norm at most sqrt(k* d) beta_i, so by Weyl's inequality no noise
     direction of the centred outputs rises above it: max(``RANK_TOL``,
-    sqrt(k* d) beta_i) is the node's ``best_affine_fit`` rank threshold
-    and search slack, reported as ``member_tols`` beside ``bounds``.
-    A node without a rate (its shift did not shrink, or T < 3) or with a
-    threshold not below 1/sqrt(d), half the lift's 2/sqrt(d) gap to any
-    non-solution, leaves the outcome undecided and fits and searches at
-    1/sqrt(d); so do a rank gap below ``GAP_MIN`` and disagreeing nodes.
+    sqrt(k* d) beta_i) is the node's ``best_affine_fit`` rank threshold,
+    reported as ``member_tols`` beside ``bounds``.  A solution's distance
+    to the fitted subspace takes more: the centroid c_i lies within
+    sqrt(d) beta_i of the limits' centroid, and by Wedin's sin theta
+    theorem the fitted directions lie within an angle of sine
+    sqrt(k* d) beta_i / sigma_i of the limits' hull, sigma_i the smallest
+    kept singular value, over a unit vector's distance of at most
+    1 + |c_i| + sqrt(d) beta_i from the limits' centroid.  So the search
+    slack is tau_i = sqrt(d) beta_i + sqrt(k* d) beta_i (1 + |c_i| +
+    sqrt(d) beta_i) / sigma_i, at least ``RANK_TOL``, reported as
+    ``search_tols``.  A node without a rate (its shift did not shrink, or
+    T < 3), or with a threshold or slack not below 1/sqrt(d), half the
+    lift's 2/sqrt(d) gap to any non-solution, leaves the outcome
+    undecided, and fits or searches at 1/sqrt(d); so do a rank gap below
+    ``GAP_MIN`` and disagreeing nodes.
     """
-    k, eqs, rng = _start(system, graph, config, True)
+    k, eqs, stream = _start(system, graph, config, True)
     d = 2**system.m
-    linear, _, _, shifts = distributed_lae(eqs, graph, config, rng.random((k, graph.n, d)))
+    linear, _, _, shifts = distributed_lae(eqs, graph, config, stream.random((k, graph.n, d)))
     rates = estimate_contraction_rate(*shifts) if len(shifts) == 2 else [None] * graph.n
     cap = 1 / math.sqrt(d)
     bounds, tols, undecided = [], [], ()
@@ -387,10 +443,23 @@ def solve_approximate(
         bounds.append(bound)
         tols.append(min(tol, cap))
     fits = [best_affine_fit(linear[:, i], tol) for i, tol in enumerate(tols)]
+    slacks = []
+    for i, ((sub, _), bound) in enumerate(zip(fits, bounds), start=1):
+        if bound is None:
+            slacks.append(cap)
+            continue
+        slack = math.sqrt(d) * bound
+        if sub.dim:
+            sigma = float(np.linalg.norm((linear[:, i - 1] - sub.offset) @ sub.basis[-1]))
+            reach = 1 + float(np.linalg.norm(sub.offset)) + slack
+            slack += math.sqrt(k * d) * bound * reach / sigma
+        if slack >= cap:
+            undecided += (f"node {i}'s search slack {slack:.3g} is not below 1/sqrt(2^m) = {cap:.3g}",)
+        slacks.append(min(max(RANK_TOL, slack), cap))
     return _search_outcome(
         "solve-approx",
         fits,
-        tols,
+        slacks,
         system.m,
         linear,
         {
@@ -399,6 +468,7 @@ def solve_approximate(
             "rounds": [config.T] * k,
             "bounds": bounds,
             "member_tols": tols,
+            "search_tols": slacks,
             "fitted_dims": [fit.dim for fit, _ in fits],
         },
         undecided,
@@ -419,14 +489,15 @@ def verify_satisfiability(
     Like ``solve_exact``, it refuses ``T`` and k* < 1, before stage one.
     Stage one leaves the outcome undecided when either of its consensus
     runs hits ``max_rounds`` or the node flags are split; stage two's
-    reasons follow its own.
+    reasons follow its own.  Stage one's initials are the stream's first
+    block, and stage two's seed is the stream's next word, halved.
     """
     config = config or RunConfig()
-    _, eqs, rng = _start(system, graph, config, False)
+    _, eqs, stream = _start(system, graph, config, False)
 
     # stage one: per-node projection-consensus limits, then the network's
     # own average of them
-    initials = rng.random((graph.n, 2**system.m))
+    initials = stream.random((graph.n, 2**system.m))
     limits, limit_rounds, limits_converged, _ = distributed_lae(eqs, graph, config, initials)
     averaged, avg_rounds, avg_converged, _ = distributed_lae(None, graph, config, limits)
     node_gaps = np.abs(averaged - limits).max(axis=1)
@@ -460,7 +531,7 @@ def verify_satisfiability(
         )
 
     # stage two: consistent linear system; decide by solving
-    stage_config = replace(config, seed=int(rng.integers(2**63)))
+    stage_config = replace(config, seed=int(stream.words(1)[0]) >> 1)
     solved = solve_exact(system, graph, stage_config)
     diagnostics.update(solved.diagnostics)
     return replace(

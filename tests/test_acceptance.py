@@ -109,7 +109,7 @@ def test_criterion_3_disagreeing_limits_detect_infeasible_lift():
     eqs = lift_system(system)
 
     rng = np.random.default_rng(0)
-    states, rounds, converged = run_to_convergence(
+    states, (rounds,), (converged,) = run_to_convergence(
         build_weights(graph, 0.2), rng.random((3, 8)), eqs, 1e-10, 5000
     )
     max_gap = max(

@@ -14,6 +14,7 @@ from conftest import (
     node_equations,
     path_graph,
     project_affine,
+    random_connected_graph,
     random_satisfiable_system,
     stack_equations,
 )
@@ -120,7 +121,7 @@ class TestAverageConsensus:
         rng = np.random.default_rng(5)
         g = path_graph(4)
         initials = rng.random((4, 5))
-        states, _, converged = run_to_convergence(
+        states, _, (converged,) = run_to_convergence(
             build_weights(g, 0.2), initials, None, 1e-12, 10000
         )
         assert converged
@@ -160,10 +161,9 @@ class TestProjectionConsensus:
             next(consensus(w, np.zeros(shape), eqs))
         with pytest.raises(ValueError, match="one state row per node"):
             run_to_convergence(w, np.zeros(shape), eqs, 1e-6, 10)
-        # a well-formed batch steps under consensus, but its runs would
-        # share one stop round under run_to_convergence
-        with pytest.raises(ValueError, match="one run's"):
-            run_to_convergence(w, np.zeros((2, 3, 8)), eqs, 1e-6, 10)
+        # a well-formed batch steps, each run to its own stop round
+        _, rounds, converged = run_to_convergence(w, np.zeros((2, 3, 8)), eqs, 1e-6, 10)
+        assert len(rounds) == len(converged) == 2
 
     def test_projected_sum_conserved(self, ex1, path3):
         # the sum of the stacked-system projections of the node states is
@@ -279,7 +279,7 @@ class TestRunToConvergence:
         eqs = lift_system(ex1)
         feasible = np.zeros(8)
         feasible[0] = 1.0
-        _, rounds, converged = run_to_convergence(
+        _, (rounds,), (converged,) = run_to_convergence(
             build_weights(path3, 0.3), np.tile(feasible, (3, 1)), eqs, 1e-10, 100
         )
         assert converged and rounds == 1
@@ -288,7 +288,7 @@ class TestRunToConvergence:
         eqs = lift_system(ex1)
         rng = np.random.default_rng(8)
         initials = rng.random((3, 8))
-        states, _, converged = run_to_convergence(
+        states, _, (converged,) = run_to_convergence(
             build_weights(path3, 0.3), initials, eqs, 1e-10, 5000
         )
         assert converged
@@ -298,7 +298,7 @@ class TestRunToConvergence:
     def test_unsatisfiable_limits_differ(self, ex3, path3):
         eqs = lift_system(ex3)
         rng = np.random.default_rng(9)
-        states, _, converged = run_to_convergence(
+        states, _, (converged,) = run_to_convergence(
             build_weights(path3, 0.2), rng.random((3, 8)), eqs, 1e-10, 5000
         )
         assert converged  # limits exist even though the system is infeasible
@@ -314,7 +314,7 @@ class TestRunToConvergence:
         # a constant f_i leaves one output class empty, so one row of H_i is
         # zero; its h_pinv column is zero, not a division by the class size
         eqs = lift_system(BooleanSystem.from_texts(3, [constant] + EX1_TEXTS[1:]))
-        states, _, converged = run_to_convergence(
+        states, _, (converged,) = run_to_convergence(
             build_weights(path3, 0.3), np.random.default_rng(13).random((3, 8)), eqs, 1e-10, 5000
         )
         assert converged and np.isfinite(states).all()
@@ -322,7 +322,7 @@ class TestRunToConvergence:
     def test_non_convergence_flagged(self, ex1, path3):
         eqs = lift_system(ex1)
         rng = np.random.default_rng(10)
-        _, rounds, converged = run_to_convergence(
+        _, (rounds,), (converged,) = run_to_convergence(
             build_weights(path3, 0.3), rng.random((3, 8)), eqs, 1e-10, 3
         )
         assert rounds == 3 and not converged
@@ -332,7 +332,7 @@ class TestRunToConvergence:
         eqs = lift_system(ex1)
         w = build_weights(path3, 0.3)
         initials = np.random.default_rng(seed).random((3, 8))
-        states, rounds, converged = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+        states, (rounds,), (converged,) = run_to_convergence(w, initials, eqs, 1e-10, 5000)
         assert converged
         # the plain states up to the round whose sup shift first falls below
         # tol, where the shift rule alone stops
@@ -355,9 +355,9 @@ class TestRunToConvergence:
         eqs = lift_system(ex1)
         w = build_weights(path3, 0.3)
         initials = np.random.default_rng(8).random((3, 8))
-        _, rounds, _ = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+        _, (rounds,), _ = run_to_convergence(w, initials, eqs, 1e-10, 5000)
         # a cap inside the extrapolating rounds, just before the stop
-        states, capped, converged = run_to_convergence(w, initials, eqs, 1e-10, rounds - 1)
+        states, (capped,), (converged,) = run_to_convergence(w, initials, eqs, 1e-10, rounds - 1)
         assert capped == rounds - 1 and not converged
         plain = list(islice(consensus(w, initials, eqs), rounds - 1))[-1]
         assert np.array_equal(states, plain)
@@ -379,9 +379,51 @@ class TestRunToConvergence:
             assert (node[1:] > node[:-1]).any()
         else:
             assert not node[:, 1].any()
-        states, _, converged = run_to_convergence(w, initials, None, 1e-10, 5000)
+        states, _, (converged,) = run_to_convergence(w, initials, None, 1e-10, 5000)
         assert converged
         assert np.abs(states - initials.mean(axis=0)).max() < 1e-9
+
+    def test_batch_matches_single_runs(self):
+        # a batch steps its runs together, each to its own stop round.  BLAS
+        # may round a batched product's last bit differently from a single
+        # run's, which can move a run's stop by a round or two and its
+        # limit by about 1e-10
+        rng = np.random.default_rng(19)
+        matched = total = 0
+        for _ in range(8):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            system = random_satisfiable_system(rng, m, n)
+            graph = random_connected_graph(rng, n)
+            eqs, w = lift_system(system), build_weights(graph, 0.9 / n)
+            initials = rng.random((2**m + 1, n, 2**m))
+            states, rounds, converged = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+            assert all(type(r) is int for r in rounds)
+            assert all(type(c) is bool for c in converged)
+            for j, start in enumerate(initials):
+                single, (r,), (c,) = run_to_convergence(w, start, eqs, 1e-10, 5000)
+                assert c is converged[j] is True
+                assert abs(r - rounds[j]) <= 4
+                assert np.abs(states[j] - single).max() < 1e-9
+                matched += r == rounds[j]
+                total += 1
+        print(f"per-run rounds equal in {matched} of {total} runs")
+        assert matched >= 0.9 * total
+
+    def test_each_run_stops_at_its_own_round(self, ex1, path3):
+        # a run started at a common feasible point stops after one round; the
+        # other runs on, to the cap
+        eqs = lift_system(ex1)
+        w = build_weights(path3, 0.3)
+        feasible = np.zeros((3, 8))
+        feasible[:, 0] = 1.0
+        start = np.random.default_rng(10).random((3, 8))
+        states, rounds, converged = run_to_convergence(
+            w, np.stack([feasible, start]), eqs, 1e-10, 3
+        )
+        assert (rounds, converged) == ([1, 3], [True, False])
+        assert np.abs(states[0] - feasible).max() < 1e-12
+        plain = list(islice(consensus(w, start, eqs), 3))[-1]
+        assert np.abs(states[1] - plain).max() < 1e-12
 
     def test_parameter_validation(self, path3):
         w = build_weights(path3, 0.2)

@@ -258,7 +258,7 @@ class TestCliWarnings:
             (["solve-approx", "ex2.json", "--T", "2", "--seed", "1"],
              # two rounds give each node one shift, and so no rate
              [*(f"node {i}'s shifts give no contraction rate at T = 2" for i in (1, 2, 3)),
-              DISAGREE, *below_floor(2, 2, 2), *small_gaps("1.99", "1.86", "1.33")], None),
+              DISAGREE, *below_floor(3, 3, 3), *small_gaps("1.82", "1.41", "1.24")], None),
             # 4 runs span only 3 of ex1's 4 hull dimensions: the nodes agree on []
             (["solve", "ex1.json", "--seed", "7", "--k-star", "4"], below_floor(3, 3, 3), None),
             # exit 3 outranks the unsatisfiable verdict's 2

@@ -1,6 +1,9 @@
 import importlib
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    EX1_TEXTS,
     EX2_MATRICES,
     central_projected_average,
     chi0,
@@ -32,6 +36,7 @@ from netbool import solver
 from netbool.network import Graph, build_weights, consensus, run_to_convergence
 from netbool.solver import (
     RunConfig,
+    SplitMix64,
     distributed_lae,
     estimate_contraction_rate,
     oracle_solve,
@@ -155,7 +160,7 @@ class TestDistributedLAE:
         config = RunConfig(seed=1, T=5)
 
         def initials():
-            return np.random.default_rng(config.seed).random((65, 3, 64))
+            return SplitMix64(config.seed).random((65, 3, 64))
 
         distributed_lae(eqs, path_graph(3), config, initials())  # warm caches
         tracemalloc.start()
@@ -166,10 +171,20 @@ class TestDistributedLAE:
             tracemalloc.stop()
         assert peak < 3.5 * states.nbytes
 
-    def test_convergent_runs_refuse_a_batch(self, ex1, path3):
+    def test_convergent_runs_step_a_batch(self, ex1, path3):
+        # each run stops at its own round: the rounds come back summed, as
+        # in the T branch, and per run, as ints
         initials = np.random.default_rng(6).random((4, 3, 8))
-        with pytest.raises(ValueError, match="one run's"):
-            distributed_lae(lift_system(ex1), path3, RunConfig(), initials)
+        states, rounds, converged, per_run = distributed_lae(
+            lift_system(ex1), path3, RunConfig(), initials
+        )
+        assert states.shape == (4, 3, 8) and states.flags.c_contiguous
+        assert converged is True and len(per_run) == 4
+        assert all(type(r) is int for r in per_run) and rounds == sum(per_run)
+        assert len(set(per_run)) > 1
+        for run, start in zip(states, initials):
+            single, *_ = distributed_lae(lift_system(ex1), path3, RunConfig(), start)
+            assert np.abs(run - single).max() < 1e-9
 
 
 class TestSolveExact:
@@ -329,17 +344,27 @@ class TestSolveApproximate:
 
     def test_bounds_match_the_distance_to_the_limits(self, ex1, path3):
         # each node's beta_i, from its own last two shifts, against the sup
-        # distance of its T-round outputs from their converged limits
+        # distance of its T-round outputs from their converged limits.  From
+        # T = 50 on, every ratio over seeds 0-99 is 0.92-1.04.  At T = 25 the
+        # ratio of two shifts is not yet the contraction rate: 12 of these
+        # seeds read outside [0.9, 1.1], 11 of them low (down to 0.80 at seed
+        # 85) and seed 5 high (1.153 at node 3); the earlier PCG64 draws put
+        # 12 of seeds 0-99 outside as well, none of them in 0-9
         eqs = lift_system(ex1)
         w = build_weights(path3, RunConfig().effective_epsilon(path3.n))
-        for seed in range(10):
-            initials = np.random.default_rng(seed).random((9, 3, 8))
-            limits = np.stack([run_to_convergence(w, x, eqs, 1e-13, 10**5)[0] for x in initials])
+        inside = 0
+        for seed in range(100):
+            initials = SplitMix64(seed).random((9, 3, 8))
+            limits = run_to_convergence(w, initials, eqs, 1e-13, 10**5)[0]
             for horizon in (25, 50, 100, 200):
                 outcome = solve_approximate(ex1, path3, RunConfig(seed=seed, T=horizon))
                 distance = np.abs(outcome.linear_solutions - limits).max(axis=(0, 2))
                 ratio = np.array(outcome.diagnostics["bounds"]) / distance
-                assert ((0.9 <= ratio) & (ratio <= 1.1)).all(), (seed, horizon, ratio)
+                banded = bool(((0.9 <= ratio) & (ratio <= 1.1)).all())
+                assert banded or horizon == 25, (seed, horizon, ratio)
+                inside += banded and horizon == 25
+        print(f"{inside} of 100 seeds inside the band at T = 25")
+        assert inside >= 88
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rate_guards(self):
@@ -447,9 +472,9 @@ class TestUndecided:
         )
 
     def test_stage_two_reasons_pass_through(self, ex1, path3):
-        # seed 1: stage one converges in 115 rounds, stage two's runs need
-        # 124 to 150
-        outcome = verify_satisfiability(ex1, path3, RunConfig(seed=1, max_rounds=130))
+        # seed 3: stage one converges in 121 rounds, stage two's runs need
+        # 123 to 151
+        outcome = verify_satisfiability(ex1, path3, RunConfig(seed=3, max_rounds=130))
         assert outcome.diagnostics["limits_converged"]
         assert outcome.stage == "solved"
         assert outcome.undecided == ("consensus hit max_rounds (converged is false)",)
@@ -457,7 +482,7 @@ class TestUndecided:
     def test_disagreeing_nodes(self, ex2, path3):
         # two rounds give each node one shift, so no node has a rate and
         # each fits at 1/sqrt(8)
-        outcome = solve_approximate(ex2, path3, RunConfig(T=2, seed=1, k_star=5))
+        outcome = solve_approximate(ex2, path3, RunConfig(T=2, seed=4, k_star=5))
         assert not outcome.diagnostics["nodes_agree"]
         assert outcome.diagnostics["fitted_dims"] == [2, 2, 2]
         assert outcome.undecided == (
@@ -466,16 +491,18 @@ class TestUndecided:
             *(f"node {i}'s subspace has dimension {dim}, below the floor 2^m - n - 1 = 4"
               for i, dim in ((1, 2), (2, 2), (3, 2))),
             *(f"node {i}'s rank gap {gap} is below 100"
-              for i, gap in ((1, "1.99"), (2, "1.86"), (3, "1.33"))),
+              for i, gap in ((1, "1.61"), (2, "1.26"), (3, "1.49"))),
         )
 
     def test_capped_bound(self):
         # from the seeded fuzz: one solution, 00.  At T = 50 the calibrated
-        # bound c* exp(-gamma* T) read 2.28, above the 0.25 cap, and no
+        # bound c* exp(-gamma* T) once read 2.28, above the 0.25 cap, and no
         # other check fired; it was decided and wrong before that cap.  The
-        # nodes' own bounds are 0.012 to 0.084, their thresholds
-        # sqrt(5 * 4) beta_i all below 1/sqrt(4), and the outcome is
-        # undecided by the nodes' disagreement and two rank gaps
+        # nodes' own thresholds sqrt(5 * 4) beta_i stay below 1/sqrt(4), and
+        # the outcome is undecided by the nodes' disagreement and rank gaps.
+        # No single seed of the SplitMix64 draws repeats the pinned sets, so
+        # a sweep asserts the outcome occurs, no node keeps a non-solution
+        # and every decided outcome is right
         system = BooleanSystem.from_texts(2, [
             ("(((x1 & x2) | x2) <-> x2)", 1),
             ("x1", 0),
@@ -484,15 +511,19 @@ class TestUndecided:
             ("x2", 0),
         ])
         graph = Graph.from_edge_list(5, [[1, 3], [1, 5], [2, 4], [2, 5]])
-        outcome = solve_approximate(system, graph, RunConfig(seed=3781296, T=50))
         assert oracle_solve(system) == {(0, 0)}
-        assert outcome.per_node_solutions == ((), ((0, 0),), (), ((0, 0),), ())
-        assert max(outcome.diagnostics["member_tols"]) < 0.5
-        assert outcome.undecided == (
-            "nodes disagree (nodes_agree is false)",
-            "node 2's rank gap 10.8 is below 100",
-            "node 4's rank gap 6.66 is below 100",
-        )
+        seen = 0
+        for seed in range(10):
+            outcome = solve_approximate(system, graph, RunConfig(seed=seed, T=50))
+            assert all(set(s) <= {(0, 0)} for s in outcome.per_node_solutions), seed
+            if not outcome.undecided:
+                assert all(set(s) == {(0, 0)} for s in outcome.per_node_solutions), seed
+            seen += (
+                max(outcome.diagnostics["member_tols"]) < 0.5
+                and "nodes disagree (nodes_agree is false)" in outcome.undecided
+                and any("rank gap" in reason for reason in outcome.undecided)
+            )
+        assert seen
 
 
 class TestSearchThreshold:
@@ -674,13 +705,58 @@ def test_slow_runs_bound_themselves():
 
 
 def test_no_silent_empty_answer_above_the_floor():
+    # over seeds 0-9 every node answers (1, 0, 0); the outcome is decided at
+    # seeds 0 and 2, and the others are undecided by rank gaps of 39-99,
+    # below GAP_MIN (seed 1: 65-91 at five nodes)
     doc = SILENT_EMPTY_DOC
     system = BooleanSystem.from_texts(doc["m"], doc["equations"])
     graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
-    outcome = solve_approximate(system, graph, RunConfig(seed=1, T=300))
     assert oracle_solve(system) == {(1, 0, 0)}
-    assert outcome.undecided == ()
-    assert outcome.per_node_solutions == (((1, 0, 0),),) * 6
+    decided = 0
+    for seed in range(10):
+        outcome = solve_approximate(system, graph, RunConfig(seed=seed, T=300))
+        assert outcome.per_node_solutions == (((1, 0, 0),),) * 6, seed
+        decided += outcome.undecided == ()
+    assert decided
+
+
+# seeded fuzz system #104 (m = 4, n = 8, generated graph), four solutions.
+# Solved with RunConfig(seed=35, T=300) under the earlier PCG64 draws, it
+# was decided and every node returned 2 of the 4: a search slack of
+# max(RANK_TOL, sqrt(k* d) beta_i) bounds the fit's noise directions, not a
+# solution's distance to the fitted subspace
+FUZZ_104 = {
+    "m": 4,
+    "equations": [
+        ("x3", 0),
+        ("x1", 1),
+        ("x3", 0),
+        ("((1 | (x3 <-> x4)) -> x3)", 0),
+        ("x3", 0),
+        ("(x3 | x3)", 0),
+        ("(x3 & !x2)", 0),
+        ("!(x1 & x1)", 0),
+    ],
+    "edges": [[1, 3], [1, 5], [1, 6], [1, 8], [2, 3], [2, 4], [2, 5], [2, 7],
+              [4, 5], [4, 6], [4, 8], [5, 8], [6, 7], [7, 8]],
+}
+
+
+def test_search_slack_reaches_every_solution():
+    # the Wedin slack bounds a solution's distance to the fitted subspace:
+    # no outcome is decided and wrong, and some are decided
+    doc = FUZZ_104
+    system = BooleanSystem.from_texts(doc["m"], doc["equations"])
+    graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+    truth = oracle_solve(system)
+    assert len(truth) == 4
+    decided = 0
+    for seed in range(50):
+        outcome = solve_approximate(system, graph, RunConfig(seed=seed, T=300))
+        if not outcome.undecided:
+            decided += 1
+            assert all(set(s) == truth for s in outcome.per_node_solutions), seed
+    assert decided
 
 
 class TestCertifiedRuns:
@@ -699,11 +775,16 @@ class TestCertifiedRuns:
         assert len(outcome.diagnostics["rounds"]) == 6
         assert outcome.undecided == ()
         assert outcome.per_node_solutions == (((1, 0, 0),),) * 6
-        # the runs are the first 6 of the 9 that one draw of k* initials makes
-        initials = np.random.default_rng(config.seed).random((9, 6, 8))
-        runs = [distributed_lae(lift_system(system), graph, config, x) for x in initials[:6]]
-        assert np.array_equal(outcome.linear_solutions, np.stack([x for x, *_ in runs]))
-        assert outcome.diagnostics["rounds"] == [r for _, r, *_ in runs]
+        # the runs are the first 6 of the 9 that one draw of k* initials
+        # makes: runs 1-4, up to the first check, as one batch, then runs 5
+        # and 6 one at a time
+        initials = SplitMix64(config.seed).random((9, 6, 8))
+        eqs = lift_system(system)
+        batch, _, _, rounds = distributed_lae(eqs, graph, config, initials[:4])
+        singles = [distributed_lae(eqs, graph, config, x) for x in initials[4:6]]
+        expected = np.concatenate((batch, np.stack([x for x, *_ in singles])))
+        assert np.array_equal(outcome.linear_solutions, expected)
+        assert outcome.diagnostics["rounds"] == rounds + [r for _, r, *_ in singles]
 
     @pytest.mark.parametrize(
         "m, text, expected",
@@ -844,7 +925,8 @@ class TestTracerContract:
 
     def test_one_fit_per_node_per_check(self, tracing):
         # the exact modes' certificate checks are the nodes' fits: 3 checks
-        # of 6 nodes, after runs 4, 5 and 6
+        # of 6 nodes, after runs 4, 5 and 6; the runs are one batch of 4,
+        # then two single runs
         doc = SILENT_EMPTY_DOC
         system = BooleanSystem.from_texts(doc["m"], doc["equations"])
         graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
@@ -855,7 +937,7 @@ class TestTracerContract:
         finally:
             tracer.uninstall(solver)
         names = [s.name for s in tracer.spans]
-        assert (names.count("network.lae"), names.count("linalg.fit")) == (6, 18)
+        assert (names.count("network.lae"), names.count("linalg.fit")) == (3, 18)
 
     def test_batched_pass_counts_run_rounds(self, tracing, ex1, path3):
         # the k* truncated runs are one span, whose rounds still count every
@@ -940,3 +1022,69 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             RunConfig(seed=-1)
         assert RunConfig(seed=0).seed == 0
+
+    def test_seed_beyond_64_bits_refused(self, ex1, path3):
+        # the stream's state is one uint64 word: its own refusal of a larger
+        # seed names no parameter
+        with pytest.raises(ValueError, match=f"^seed must be below 2\\^64, got {2**64}$"):
+            RunConfig(seed=2**64)
+        assert solve_exact(ex1, path3, RunConfig(seed=2**64 - 1)).undecided == ()
+
+
+class TestSplitMix64:
+    def test_known_answer(self):
+        words = SplitMix64(1234567).words(5)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [
+            6457827717110365317,
+            3203168211198807973,
+            9817491932198370423,
+            4593380528125082431,
+            16408922859458223821,
+        ]
+
+    def test_doubles_are_the_top_53_bits(self):
+        words = SplitMix64(3).words(1000)
+        x = SplitMix64(3).random((10, 100))
+        assert np.array_equal(x.ravel() * 2.0**53, (words >> 11).astype(float))
+        assert 0.0 <= x.min() and x.max() < 1.0
+
+    def test_prefix(self):
+        # run j's (n, d) initials are the j-th block of the stream, however
+        # the runs are grouped
+        batch = SplitMix64(11).random((4, 3, 8))
+        stream = SplitMix64(11)
+        assert np.array_equal(batch, np.stack([stream.random((3, 8)) for _ in range(4)]))
+        stream = SplitMix64(11)
+        assert np.array_equal(batch, np.concatenate((stream.random((3, 3, 8)), stream.random((1, 3, 8)))))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wraps_without_warnings(self):
+        # every product and sum wraps mod 2^64 on arrays, never on a scalar
+        assert SplitMix64(2**64 - 1).random((3, 8)).shape == (3, 8)
+
+    def test_solvers_import_neither_numpy_random_nor_hashlib(self, tmp_path):
+        # numpy.random's bit generators and, through secrets, hashlib and
+        # OpenSSL are several MB of a process's memory; no solve path
+        # needs them
+        root = Path(__file__).resolve().parents[1]
+        code = f"""
+import sys
+from netbool import BooleanSystem, Graph, RunConfig
+from netbool.cli import main
+from netbool.solver import solve_approximate, solve_exact, verify_satisfiability
+system = BooleanSystem.from_texts(3, {EX1_TEXTS!r})
+graph = Graph.from_edge_list(3, [[1, 2], [2, 3]])
+solve_exact(system, graph, RunConfig(seed=7))
+solve_approximate(system, graph, RunConfig(seed=7, T=50))
+verify_satisfiability(system, graph, RunConfig(seed=1))
+assert main(["trace", {str(root / "problems" / "ex1.json")!r}, "--seed", "7", "--rounds", "3",
+             "--output", {str(tmp_path / "trace.csv")!r}]) == 0
+print(sorted(m for m in ("numpy.random", "hashlib") if m in sys.modules))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "[]\n"
