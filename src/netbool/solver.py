@@ -5,11 +5,11 @@ the consensus outputs.
 
 Four entry points:
 
-* ``solve_exact``       - run consensus to numerical convergence, the
-  runs up to the first certificate check as one batch in which each run
-  stops at its own round, then one run at a time until every node's
-  hull is certified complete, search the hull of the resulting solutions
-  (requires a satisfiable system);
+* ``solve_exact``       - run consensus to numerical convergence, as
+  one batch of min(k*, 2^m + 2) runs in which each run stops at its own
+  round, keep the shortest prefix of runs on which every node's hull is
+  certified complete, search the hull of those solutions (requires a
+  satisfiable system);
 * ``solve_approximate`` - consensus truncated to T rounds per run, all
   runs stepped as one batch; each node takes the same affine subspace of
   its outputs, at a threshold raised to the bound on their distance from
@@ -177,18 +177,19 @@ def distributed_lae(
     ``max_rounds``), each run to its own round; with ``T`` set, exactly T
     rounds of ``consensus`` run.  Returns (final states, shaped and
     C-contiguous like ``initials``, the rounds summed over the runs,
-    whether every run converged, a list): without ``T`` the list holds
-    each run's rounds, one entry for one run's (n, d) states; with ``T``
-    it holds each node's sup change over the runs in rounds T - 1 and T,
-    as (n,) arrays, taken between rounds' outputs only, as the pass lets
-    the initials go, so T < 3 gives fewer.
+    whether every run converged, a last entry): without ``T`` it is the
+    pair of lists (each run's rounds, each run's converged flag), one
+    entry each for one run's (n, d) states; with ``T`` it is the list of
+    each node's sup change over the runs in rounds T - 1 and T, as (n,)
+    arrays, taken between rounds' outputs only, as the pass lets the
+    initials go, so T < 3 gives fewer.
     """
     w = build_weights(graph, config.effective_epsilon(graph.n))
     if config.T is None:
         states, rounds, converged = run_to_convergence(
             w, initials, eqs, CONSENSUS_TOL, config.max_rounds
         )
-        return states, sum(rounds), all(converged), rounds
+        return states, sum(rounds), all(converged), (rounds, converged)
     runs = len(initials) if np.ndim(initials) == 3 else 1
     states = initials
     del initials  # the first round rebinds ``states``, and the initials go
@@ -262,34 +263,33 @@ def _start(
 def _certified_runs(
     system: BooleanSystem, graph: Graph, config: RunConfig
 ) -> tuple[int, np.ndarray, list[int], bool, list[tuple[AffineSubspace, float | None]]]:
-    """The exact modes' convergent ``distributed_lae`` runs, each to its
-    own round, until every node's hull is certified complete, with k* as
-    the cap.  A run's limits are an affine image of its uniform initials,
-    so a new limit adds a direction to a hull unless the hull is complete.
-    After run j >= max(3, 2^m - n + 2) (no consistent hull, whose
-    dimension is at least 2^m - n - 1, certifies earlier), each node fits
-    its j limits at ``RANK_TOL``, and a dimension of at most j - 3, two
-    runs that added no direction, certifies it.  So the runs up to the
-    first check step as one batch, and later runs one at a time.  The stop
-    is the AND of the nodes' bits, which a flood would take at most the
-    diameter in rounds to spread; the simulation reads the bits directly.
-    Run j's initials are the stream's j-th (n, 2^m) block, a prefix of the
-    k* runs one draw of (k*, n, 2^m) makes.  Returns (k*, the states as
-    (runs, n, 2^m), per-run rounds, whether every run converged, the last
-    check's fits)."""
+    """The exact modes' convergent runs, until every node's hull is
+    certified complete, with k* as the cap.  A run's limits are an affine
+    image of its uniform initials, so a new limit adds a direction to a
+    hull unless the hull is complete.  After run j >= max(3, 2^m - n + 2)
+    (no consistent hull, whose dimension is at least 2^m - n - 1,
+    certifies earlier), each node fits its first j limits at
+    ``RANK_TOL``, and a dimension of at most j - 3, two runs that added no
+    direction, certifies it; a hull's dimension is at most 2^m - 1, so
+    j = 2^m + 2 always does.  So one ``distributed_lae`` batch of
+    min(k*, 2^m + 2) runs, each to its own round, holds every prefix a
+    check asks for; the runs past the certified prefix are dropped.  The
+    stop is the AND of the nodes' bits, which a flood would take at most
+    the diameter in rounds to spread; the simulation reads the bits
+    directly.  Run j's initials are the stream's j-th (n, 2^m) block.
+    Returns (k*, the certified prefix's states as (runs, n, 2^m), its
+    per-run rounds, whether all of them converged, the last check's
+    fits)."""
     k, eqs, stream = _start(system, graph, config, False)
     n, d = graph.n, 2**system.m
-    j = min(max(3, d - n + 2), k)
-    linear, _, converged, rounds = distributed_lae(eqs, graph, config, stream.random((j, n, d)))
-    while True:
-        fits = [best_affine_fit(linear[:, i], RANK_TOL) for i in range(n)]
-        if j == k or all(fit.dim <= j - 3 for fit, _ in fits):
-            return k, linear, rounds, converged, fits
-        x, r, c, _ = distributed_lae(eqs, graph, config, stream.random((n, d)))
-        linear = np.concatenate((linear, x[None]))
-        rounds.append(r)
-        converged = converged and c
-        j += 1
+    batch = min(k, d + 2)
+    linear, _, _, (rounds, converged) = distributed_lae(
+        eqs, graph, config, stream.random((batch, n, d))
+    )
+    for j in range(min(max(3, d - n + 2), batch), batch + 1):
+        fits = [best_affine_fit(linear[:j, i], RANK_TOL) for i in range(n)]
+        if j == batch or all(fit.dim <= j - 3 for fit, _ in fits):
+            return k, linear[:j], rounds[:j], all(converged[:j]), fits
 
 
 @lru_cache(maxsize=4096)

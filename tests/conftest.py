@@ -5,8 +5,8 @@ compare the distributed solvers against (dense unit vectors, the
 assignment-by-assignment oracle, general linear equations with an SVD
 pseudoinverse, single-vector projection, echelon rank, stacked
 equations, consensus value, stacked-rank consistency, image cardinality,
-unit-vector search, fixed-dimension fit and the truncated-mode dimension
-scan)."""
+unit-vector search, fixed-dimension fit, the truncated-mode dimension
+scan and the exact modes' certified runs drawn one at a time)."""
 
 from __future__ import annotations
 
@@ -37,9 +37,10 @@ from netbool.formula import (
     Var,
     evaluate,
 )
-from netbool.linalg import AffineSubspace, dist_to_affine
-from netbool.matricization import LiftedSystem, itob
+from netbool.linalg import AffineSubspace, best_affine_fit, dist_to_affine
+from netbool.matricization import LiftedSystem, itob, lift_system
 from netbool.network import Graph
+from netbool.solver import RANK_TOL, RunConfig, SplitMix64, distributed_lae
 
 settings.register_profile(
     "suite",
@@ -342,6 +343,31 @@ def stacked_rank_consistent(
     augmented = np.hstack([stacked.h, stacked.z[:, None]])
     rank_hz, _, _ = rank_and_echelon(augmented, pivot_tol)
     return rank_h == rank_hz
+
+
+def sequential_certified_runs(
+    system: BooleanSystem, graph: Graph, config: RunConfig
+) -> tuple[int, np.ndarray, list[int], bool, list]:
+    """Reference for ``solver._certified_runs``, with its arguments and
+    results: run j's initials are the stream's j-th (n, 2^m) block,
+    stepped alone, and after each run j >= max(3, 2^m - n + 2), or at
+    j = k*, every node fits its j limits at ``RANK_TOL``; the runs stop
+    once every fit has dimension at most j - 3."""
+    k = config.effective_k_star(system.m)
+    eqs, stream = lift_system(system), SplitMix64(config.seed)
+    n, d = graph.n, 2**system.m
+    limits, rounds, converged = [], [], True
+    for j in range(1, k + 1):
+        x, r, c, _ = distributed_lae(eqs, graph, config, stream.random((n, d)))
+        limits.append(x)
+        rounds.append(r)
+        converged = converged and c
+        if j >= max(3, d - n + 2) or j == k:
+            linear = np.stack(limits)
+            fits = [best_affine_fit(linear[:, i], RANK_TOL) for i in range(n)]
+            if j == k or all(fit.dim <= j - 3 for fit, _ in fits):
+                return k, linear, rounds, converged, fits
+    raise ValueError(f"k_star must be >= 1, got {k}")
 
 
 def chi0(system: BooleanSystem) -> int:

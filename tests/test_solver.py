@@ -25,6 +25,7 @@ from conftest import (
     random_satisfiable_system,
     rank_and_echelon,
     scan_rank,
+    sequential_certified_runs,
     stack_equations,
     stacked_rank_consistent,
     unit_vector,
@@ -173,13 +174,13 @@ class TestDistributedLAE:
 
     def test_convergent_runs_step_a_batch(self, ex1, path3):
         # each run stops at its own round: the rounds come back summed, as
-        # in the T branch, and per run, as ints
+        # in the T branch, and per run, as ints, beside each run's flag
         initials = np.random.default_rng(6).random((4, 3, 8))
-        states, rounds, converged, per_run = distributed_lae(
+        states, rounds, converged, (per_run, flags) = distributed_lae(
             lift_system(ex1), path3, RunConfig(), initials
         )
         assert states.shape == (4, 3, 8) and states.flags.c_contiguous
-        assert converged is True and len(per_run) == 4
+        assert converged is True and len(per_run) == 4 and flags == [True] * 4
         assert all(type(r) is int for r in per_run) and rounds == sum(per_run)
         assert len(set(per_run)) > 1
         for run, start in zip(states, initials):
@@ -775,16 +776,73 @@ class TestCertifiedRuns:
         assert len(outcome.diagnostics["rounds"]) == 6
         assert outcome.undecided == ()
         assert outcome.per_node_solutions == (((1, 0, 0),),) * 6
-        # the runs are the first 6 of the 9 that one draw of k* initials
-        # makes: runs 1-4, up to the first check, as one batch, then runs 5
-        # and 6 one at a time
+        # the runs are the first 6 of one distributed_lae batch of all 9:
+        # k* = 9 is below 2^m + 2 = 10, so the batch is k* runs
         initials = SplitMix64(config.seed).random((9, 6, 8))
-        eqs = lift_system(system)
-        batch, _, _, rounds = distributed_lae(eqs, graph, config, initials[:4])
-        singles = [distributed_lae(eqs, graph, config, x) for x in initials[4:6]]
-        expected = np.concatenate((batch, np.stack([x for x, *_ in singles])))
-        assert np.array_equal(outcome.linear_solutions, expected)
-        assert outcome.diagnostics["rounds"] == rounds + [r for _, r, *_ in singles]
+        batch, _, _, (rounds, _) = distributed_lae(lift_system(system), graph, config, initials)
+        assert np.array_equal(outcome.linear_solutions, batch[:6])
+        assert outcome.diagnostics["rounds"] == rounds[:6]
+
+    def test_converged_covers_only_the_kept_runs(self, monkeypatch):
+        # a run past the certified prefix that hit max_rounds is dropped
+        # with its flag: SILENT_EMPTY_DOC keeps 6 of its 9 runs
+        def last_unconverged(eqs, graph, config, initials):
+            states, rounds, _, (per_run, flags) = distributed_lae(eqs, graph, config, initials)
+            return states, rounds, False, (per_run, flags[:-1] + [False])
+
+        monkeypatch.setattr(solver, "distributed_lae", last_unconverged)
+        doc = SILENT_EMPTY_DOC
+        system = BooleanSystem.from_texts(doc["m"], doc["equations"])
+        graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+        outcome = solve_exact(system, graph, RunConfig(**doc["config"]))
+        assert len(outcome.diagnostics["rounds"]) == 6
+        assert outcome.diagnostics["converged"] is True and outcome.undecided == ()
+
+    def test_one_batch_of_two_more_runs_than_the_state(self, monkeypatch, ex1, path3):
+        # a hull has dimension at most 2^m - 1, so the check after run
+        # 2^m + 2 always certifies: a larger k* draws 2^m + 2 = 10 runs,
+        # in one call, and gives the k* = 10 outcome
+        batches = []
+
+        def recorded(eqs, graph, config, initials):
+            batches.append(initials.shape)
+            return distributed_lae(eqs, graph, config, initials)
+
+        monkeypatch.setattr(solver, "distributed_lae", recorded)
+        wide = solve_exact(ex1, path3, RunConfig(seed=7, k_star=40))
+        assert batches == [(10, 3, 8)]
+        capped = solve_exact(ex1, path3, RunConfig(seed=7, k_star=10))
+        assert wide.diagnostics["k_star"] == 40
+        assert np.array_equal(wide.linear_solutions, capped.linear_solutions)
+        assert wide.per_node_solutions == capped.per_node_solutions == (EX1_SOLUTIONS,) * 3
+        for key in ("rounds", "converged", "rank_gaps"):
+            assert wide.diagnostics[key] == capped.diagnostics[key]
+
+    @pytest.fixture
+    def exact_small(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        return importlib.import_module("workloads").WORKLOADS["exact-small"]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_batch_matches_runs_drawn_one_at_a_time(self, monkeypatch, exact_small, seed):
+        # the batch's certified prefix is the one the sequential draw
+        # stops at, up to batch rounding of a run's last bits
+        for doc in exact_small.generate(seed):
+            system = BooleanSystem.from_texts(
+                doc["m"], [(e["formula"], e["rhs"]) for e in doc["equations"]]
+            )
+            graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+            config = RunConfig(**doc["config"])
+            batched = solve_exact(system, graph, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_certified_runs", sequential_certified_runs)
+                sequential = solve_exact(system, graph, config)
+            assert batched.linear_solutions.shape == sequential.linear_solutions.shape
+            assert np.abs(batched.linear_solutions - sequential.linear_solutions).max() < 1e-9
+            pairs = zip(batched.diagnostics["rounds"], sequential.diagnostics["rounds"])
+            assert all(abs(a - b) <= 1 for a, b in pairs)
+            assert batched.per_node_solutions == sequential.per_node_solutions
+            assert batched.undecided == sequential.undecided == ()
 
     @pytest.mark.parametrize(
         "m, text, expected",
@@ -925,8 +983,7 @@ class TestTracerContract:
 
     def test_one_fit_per_node_per_check(self, tracing):
         # the exact modes' certificate checks are the nodes' fits: 3 checks
-        # of 6 nodes, after runs 4, 5 and 6; the runs are one batch of 4,
-        # then two single runs
+        # of 6 nodes, on the first 4, 5 and 6 runs of one batch of k* = 9
         doc = SILENT_EMPTY_DOC
         system = BooleanSystem.from_texts(doc["m"], doc["equations"])
         graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
@@ -937,7 +994,7 @@ class TestTracerContract:
         finally:
             tracer.uninstall(solver)
         names = [s.name for s in tracer.spans]
-        assert (names.count("network.lae"), names.count("linalg.fit")) == (3, 18)
+        assert (names.count("network.lae"), names.count("linalg.fit")) == (1, 18)
 
     def test_batched_pass_counts_run_rounds(self, tracing, ex1, path3):
         # the k* truncated runs are one span, whose rounds still count every
