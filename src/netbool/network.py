@@ -18,13 +18,20 @@ own limit: each node reads its own last two shifts and, once they are
 small, returns Aitken's extrapolate of its own trajectory, which stops a
 linearly convergent run about half as many rounds in, and nearer its
 limit, than the shift stop.  A run that stops leaves the batch, and the
-others step on without it.
+others step on without it.  While every run's shift is loud, too large
+for either stop, it reads the shifts in blocks: a round's shift is the
+last one's times M = blockdiag(I - h_i^+ h_i) (W kron I), with
+||M||_2 <= ||W||_2 <= 1, so a block's last 2-norm shift bounds every
+earlier one from below, and one test of it proves the whole block loud.
+The blocks move only the simulation's bookkeeping: the rounds, messages
+and stops are the per-round loop's, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,6 +44,11 @@ __all__ = ["Graph", "build_weights", "consensus", "run_to_convergence"]
 # extrapolated limit: the runs are then in their slowest mode, so one
 # ratio of a node's shifts is its contraction rate
 EXTRAPOLATE_BELOW = 1e-6
+# rounds ``run_to_convergence`` takes at once from a loud batch, testing
+# only the last one's shift, and that test's relative margin for the
+# rounding a block adds to the shifts
+BLOCK = 8
+LOUD_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -203,6 +215,29 @@ def run_to_convergence(
     leaves the batch: ``consensus`` restarts from the other runs' current
     states, so each run's rounds are those it would take alone (batched
     products may round a last bit differently).
+
+    A round is loud when every running run's sup shift is at least
+    quiet = max(tol, ``EXTRAPOLATE_BELOW``): no run stops or
+    extrapolates, and the loop only keeps the round's state.  Before the
+    first round and after a loud one, unless a failed block is still
+    being replayed or ``max_rounds`` falls within the next ``BLOCK``
+    rounds, the loop takes ``BLOCK`` rounds at once and tests only the
+    last one's shift: if every run's 2-norm shift is at least sqrt(n d)
+    quiet (1 + ``LOUD_MARGIN``), every round of the block was loud, and
+    the loop keeps only the last state.  The proof: each round's shift is the
+    previous one's times M = blockdiag(I - h_i^+ h_i) (W kron I), the
+    projections' affine offsets cancelling, and an orthogonal projector
+    has norm 1, so ||M||_2 <= ||w||_2 <= 1 and a run's 2-norm shift never
+    grows; a sup norm is at least the 2-norm over sqrt(n d).  The margin,
+    at least 1e-12 absolute, is about 100 times what rounding adds to a
+    shift's 2-norm over a block of states of order one, as the solvers'
+    are (uniform initials, limits in the lift's solution sets).  Every
+    ``build_weights`` matrix has ||w||_2 <= 1, its eigenvalues
+    1 - epsilon lambda lying in (-1, 1] for epsilon < 1/n; for a ``w``
+    above 1 + 1e-12 the loop takes no block.  A block that fails the test
+    is replayed round by round from its kept states, and a run that stops
+    inside it restarts ``consensus`` and drops the rest, so the states,
+    rounds and flags are the per-round loop's, bit for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -222,10 +257,24 @@ def run_to_convergence(
     # at d <= 16 is mostly interpreter time
     active, streak, last, prev_est = list(range(k)), None, None, None
     quiet = max(tol, EXTRAPOLATE_BELOW)  # no run stops or extrapolates above it
+    # a block whose last squared 2-norm shift is at least ``loud`` in every
+    # run was loud in every round; with ||w||_2 > 1 a shift may grow
+    loud = prev[0].size * (quiet * (1 + LOUD_MARGIN)) ** 2  # n d per run
+    blocks = np.linalg.norm(w, 2) <= 1 + 1e-12
+    replayed = 0  # the last round of a failed block, which ``runs`` replays
     largest_of = np.maximum.reduce
     runs = consensus(w, prev, eqs)
-    for t in range(1, max_rounds + 1):
+    t = 0
+    while True:
+        if streak is None and t >= replayed and t + BLOCK < max_rounds and blocks:
+            block = list(islice(runs, BLOCK))
+            shift = block[-1] - block[-2]
+            if min(np.einsum("kij,kij->k", shift, shift).tolist()) >= loud:
+                prev, t = block[-1], t + BLOCK
+                continue
+            runs, replayed = chain(block, runs), t + BLOCK
         x = next(runs)
+        t += 1
         shift = x - prev
         size = np.abs(shift)
         largest = largest_of(size, axis=(1, 2)).tolist()
@@ -275,5 +324,5 @@ def run_to_convergence(
         prev, last = x[going], last[going]
         if prev_est is not None:
             prev_est = prev_est[going]
-        runs = consensus(w, prev, eqs)
+        runs, replayed = consensus(w, prev, eqs), t
     return (final[0] if single else final), rounds, converged

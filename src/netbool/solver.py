@@ -146,7 +146,8 @@ class SolveOutcome:
     reason per condition that keeps the outcome from being an answer (the
     nodes' sets disagree, a node's subspace fails the dimension floor or
     the rank gap, a consensus run hit ``max_rounds``, a truncated node has
-    no contraction rate or too large a threshold or search slack); it is
+    no contraction rate, too large a threshold or search slack, or a fit
+    with no direction whose outputs' spread is near its threshold); it is
     empty exactly when the outcome is decided.
     """
 
@@ -425,7 +426,11 @@ def solve_approximate(
     T < 3), or with a threshold or slack not below 1/sqrt(d), half the
     lift's 2/sqrt(d) gap to any non-solution, leaves the outcome
     undecided, and fits or searches at 1/sqrt(d); so do a rank gap below
-    ``GAP_MIN`` and disagreeing nodes.
+    ``GAP_MIN`` and disagreeing nodes.  A fit that keeps no direction has
+    no rank gap, and the dimension floor may be negative, yet a real
+    direction may lie below the threshold: it leaves the outcome undecided
+    unless the spectral norm of the node's centred outputs is at least
+    ``GAP_MIN`` times below the threshold.
     """
     k, eqs, stream = _start(system, graph, config, True)
     d = 2**system.m
@@ -444,7 +449,14 @@ def solve_approximate(
         tols.append(min(tol, cap))
     fits = [best_affine_fit(linear[:, i], tol) for i, tol in enumerate(tols)]
     slacks = []
-    for i, ((sub, _), bound) in enumerate(zip(fits, bounds), start=1):
+    for i, ((sub, _), bound, tol) in enumerate(zip(fits, bounds, tols), start=1):
+        if not sub.dim:
+            spread = float(np.linalg.norm(linear[:, i - 1] - sub.offset, 2))
+            if spread * GAP_MIN > tol:
+                undecided += (
+                    f"node {i}'s fit keeps no direction, but its outputs' spectral norm "
+                    f"{spread:.3g} is not {GAP_MIN:g} times below its threshold {tol:.3g}",
+                )
         if bound is None:
             slacks.append(cap)
             continue

@@ -39,7 +39,7 @@ from netbool.formula import (
 )
 from netbool.linalg import AffineSubspace, best_affine_fit, dist_to_affine
 from netbool.matricization import LiftedSystem, itob, lift_system
-from netbool.network import Graph
+from netbool.network import EXTRAPOLATE_BELOW, Graph, consensus
 from netbool.solver import RANK_TOL, RunConfig, SplitMix64, distributed_lae
 
 settings.register_profile(
@@ -368,6 +368,92 @@ def sequential_certified_runs(
             if j == k or all(fit.dim <= j - 3 for fit, _ in fits):
                 return k, linear, rounds, converged, fits
     raise ValueError(f"k_star must be >= 1, got {k}")
+
+
+def per_round_convergence(
+    w: np.ndarray,
+    states: np.ndarray,
+    eqs: LiftedSystem | None,
+    tol: float,
+    max_rounds: int,
+) -> tuple[np.ndarray, list[int], list[bool]]:
+    """Reference for ``network.run_to_convergence``, with its arguments and
+    results: the same stop rules, with every round's shift read one round
+    at a time and no block of rounds skipped.  Its states, rounds and
+    converged flags are the engine's bit for bit."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    single = np.ndim(states) == 2
+    prev = np.asarray(states, dtype=float)
+    if single:
+        prev = prev[None]  # one run is the batch of one
+    k = len(prev)
+    final = np.empty_like(prev)
+    rounds, converged = [0] * k, [False] * k
+    # per running run: its index in ``states``, its rounds in a row below
+    # EXTRAPOLATE_BELOW (None while every run is above it), and each
+    # node's last sup shift and last extrapolate.  Per-run scalars are
+    # Python lists: a batch holds a few dozen runs at most, and a round
+    # at d <= 16 is mostly interpreter time
+    active, streak, last, prev_est = list(range(k)), None, None, None
+    quiet = max(tol, EXTRAPOLATE_BELOW)  # no run stops or extrapolates above it
+    largest_of = np.maximum.reduce
+    runs = consensus(w, prev, eqs)
+    for t in range(1, max_rounds + 1):
+        x = next(runs)
+        shift = x - prev
+        size = np.abs(shift)
+        largest = largest_of(size, axis=(1, 2)).tolist()
+        if t < max_rounds and min(largest) >= quiet:
+            prev, streak = x, None
+            continue
+        done = [s < tol for s in largest]
+        if t == max_rounds:
+            final[active] = x
+            for j, c in zip(active, done):
+                rounds[j], converged[j] = t, c
+            break
+        streak = [
+            s + 1 if a < EXTRAPOLATE_BELOW else 0
+            for s, a in zip(streak or [0] * len(active), largest)
+        ]
+        node = largest_of(size, axis=2)
+        settled = [False] * len(active)
+        if max(streak) >= 2:
+            # rho / (1 - rho) = node / (last - node); a node with rho >= 1
+            # or a zero last shift divides by inf, not by zero, and keeps
+            # its plain state without a warning.  A run extrapolates from
+            # its second round below the guard and may stop from its
+            # third: a node's two shifts, and two extrapolates, must be
+            # consecutive
+            shift *= (node / np.where(last > node, last - node, np.inf))[:, :, None]
+            est = shift + x
+            if max(streak) >= 3:
+                moved = largest_of(np.abs(est - prev_est), axis=(1, 2)).tolist()
+                settled = [s >= 3 and a < tol and not p for s, a, p in zip(streak, moved, done)]
+            prev_est = est
+        last = node
+        if not (any(done) or any(settled)):
+            prev = x
+            continue
+        going = []
+        for j, (plain, extrapolated) in enumerate(zip(done, settled)):
+            if plain or extrapolated:
+                final[active[j]] = est[j] if extrapolated else x[j]
+                rounds[active[j]], converged[active[j]] = t, True
+            else:
+                going.append(j)
+        if not going:
+            break
+        active = [active[j] for j in going]
+        streak = [streak[j] for j in going]
+        prev, last = x[going], last[going]
+        if prev_est is not None:
+            prev_est = prev_est[going]
+        runs = consensus(w, prev, eqs)
+    return (final[0] if single else final), rounds, converged
 
 
 def chi0(system: BooleanSystem) -> int:

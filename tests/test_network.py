@@ -13,6 +13,7 @@ from conftest import (
     lifted,
     node_equations,
     path_graph,
+    per_round_convergence,
     project_affine,
     random_connected_graph,
     random_satisfiable_system,
@@ -20,7 +21,14 @@ from conftest import (
 )
 from netbool.formula import BooleanSystem
 from netbool.matricization import lift_system
-from netbool.network import Graph, build_weights, consensus, run_to_convergence
+from netbool.network import (
+    BLOCK,
+    EXTRAPOLATE_BELOW,
+    Graph,
+    build_weights,
+    consensus,
+    run_to_convergence,
+)
 
 # ex1 with its first equation replaced by the constant 1: one row of that
 # node's H is all zero
@@ -431,6 +439,98 @@ class TestRunToConvergence:
             run_to_convergence(w, np.zeros((3, 2)), None, 0.0, 10)
         with pytest.raises(ValueError):
             run_to_convergence(w, np.zeros((3, 2)), None, 1e-6, 0)
+
+
+def assert_matches_per_round(w, states, eqs, tol, max_rounds):
+    """``run_to_convergence`` and the per-round reference agree bit for bit
+    on the states, the per-run rounds and the converged flags; returns the
+    engine's result."""
+    result = run_to_convergence(w, states, eqs, tol, max_rounds)
+    expected = per_round_convergence(w, states, eqs, tol, max_rounds)
+    assert np.array_equal(result[0], expected[0])
+    assert result[1:] == expected[1:]
+    return result
+
+
+class TestLoudBlocks:
+    """The blocks of loud rounds skip only the per-round stop check: every
+    result equals the per-round loop's (``conftest.per_round_convergence``)."""
+
+    def test_single_run(self, ex1, path3):
+        w = build_weights(path3, 0.3)
+        for seed in range(4):
+            initials = np.random.default_rng(seed).random((3, 8))
+            _, (rounds,), (converged,) = assert_matches_per_round(
+                w, initials, lift_system(ex1), 1e-10, 5000
+            )
+            assert converged and rounds > 2 * BLOCK
+
+    def test_batch_stops_in_different_rounds(self, ex1, path3):
+        # run 0 starts at a common feasible point and stops in round 1,
+        # inside the first block, which is replayed round by round; the
+        # others restart from that round and stop at their own rounds
+        w = build_weights(path3, 0.3)
+        feasible = np.zeros((3, 8))
+        feasible[:, 0] = 1.0
+        starts = np.random.default_rng(20).random((4, 3, 8))
+        _, rounds, converged = assert_matches_per_round(
+            w, np.concatenate([feasible[None], starts]), lift_system(ex1), 1e-10, 5000
+        )
+        assert rounds[0] == 1 and all(converged)
+        assert len(set(rounds)) == len(rounds)
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(21)
+        for _ in range(6):
+            m, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            eqs = lift_system(random_satisfiable_system(rng, m, n))
+            w = build_weights(random_connected_graph(rng, n), 0.9 / n)
+            _, rounds, converged = assert_matches_per_round(
+                w, rng.random((2**m + 2, n, 2**m)), eqs, 1e-10, 5000
+            )
+            assert all(converged) and len(set(rounds)) > 1
+
+    def test_plain_averaging(self):
+        w = build_weights(Graph.from_edge_list(4, [[1, 2], [2, 3], [3, 4], [1, 4]]), 0.2)
+        initials = np.random.default_rng(22).random((3, 4, 5))
+        assert_matches_per_round(w, initials, None, 1e-10, 5000)
+        assert_matches_per_round(w, initials[0], None, 1e-12, 5000)
+
+    @pytest.mark.parametrize("max_rounds", [1, BLOCK, BLOCK + 1, 2 * BLOCK - 1])
+    def test_caps_near_a_block(self, ex1, path3, max_rounds):
+        # a block is taken only when it ends before the cap
+        w = build_weights(path3, 0.3)
+        initials = np.random.default_rng(23).random((3, 3, 8))
+        _, rounds, converged = assert_matches_per_round(
+            w, initials, lift_system(ex1), 1e-10, max_rounds
+        )
+        assert rounds == [max_rounds] * 3 and not any(converged)
+
+    def test_growing_weights_take_no_block(self):
+        # ||w||_2 = 10: the shift grows tenfold a round, so round 1 is below
+        # tol and stops the run, while a block's last shift would pass the test
+        w = 10.0 * np.eye(3)
+        initials = np.full((3, 2), 1e-12)
+        shifts = np.diff([initials, *islice(consensus(w, initials), BLOCK)], axis=0)
+        assert np.abs(shifts[0]).max() < 1e-10
+        assert np.linalg.norm(shifts[-1]) > math.sqrt(6) * EXTRAPOLATE_BELOW * 1.1
+        _, rounds, converged = assert_matches_per_round(w, initials, None, 1e-10, 5000)
+        assert (rounds, converged) == ([1], [True])
+
+    def test_failed_block_of_loud_rounds(self, path3):
+        # a shift on one coordinate: its sup norm, above the loud bound in
+        # every round of the first block, is more than its 2-norm over
+        # sqrt(n d), so the block's test fails and the rounds are replayed
+        w = build_weights(path3, 0.25)
+        initials = np.zeros((3, 8))
+        initials[0, 0] = 2.0**-13
+        shifts = np.diff([initials, *islice(consensus(w, initials), BLOCK)], axis=0)
+        assert np.abs(shifts).max(axis=(1, 2)).min() >= EXTRAPOLATE_BELOW
+        assert np.linalg.norm(shifts[-1]) < math.sqrt(24) * EXTRAPOLATE_BELOW
+        _, (rounds,), (converged,) = assert_matches_per_round(
+            w, initials, None, 1e-10, 5000
+        )
+        assert converged and rounds > BLOCK
 
 
 class TestDeterminism:

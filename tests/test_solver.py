@@ -459,6 +459,18 @@ class TestVerifySatisfiability:
 class TestUndecided:
     """The solver, not its caller, says when an outcome is not an answer."""
 
+    # a seeded fuzz system (m = 2, n = 5) with one solution, 00
+    CAPPED = (
+        BooleanSystem.from_texts(2, [
+            ("(((x1 & x2) | x2) <-> x2)", 1),
+            ("x1", 0),
+            ("(((x1 & x2) -> (x1 <-> x2)) & ((x2 -> x2) <-> (x2 & x2)))", 0),
+            ("(x2 & !(x1 -> x1))", 0),
+            ("x2", 0),
+        ]),
+        Graph.from_edge_list(5, [[1, 3], [1, 5], [2, 4], [2, 5]]),
+    )
+
     def test_unconverged_exact_run(self, ex1, path3):
         outcome = solve_exact(ex1, path3, RunConfig(max_rounds=1))
         assert not outcome.diagnostics["converged"]
@@ -504,14 +516,7 @@ class TestUndecided:
         # No single seed of the SplitMix64 draws repeats the pinned sets, so
         # a sweep asserts the outcome occurs, no node keeps a non-solution
         # and every decided outcome is right
-        system = BooleanSystem.from_texts(2, [
-            ("(((x1 & x2) | x2) <-> x2)", 1),
-            ("x1", 0),
-            ("(((x1 & x2) -> (x1 <-> x2)) & ((x2 -> x2) <-> (x2 & x2)))", 0),
-            ("(x2 & !(x1 -> x1))", 0),
-            ("x2", 0),
-        ])
-        graph = Graph.from_edge_list(5, [[1, 3], [1, 5], [2, 4], [2, 5]])
+        system, graph = self.CAPPED
         assert oracle_solve(system) == {(0, 0)}
         seen = 0
         for seed in range(10):
@@ -525,6 +530,24 @@ class TestUndecided:
                 and any("rank gap" in reason for reason in outcome.undecided)
             )
         assert seen
+
+    def test_fit_without_a_direction(self):
+        # test_capped_bound's system at T = 50, seed 252: the limits span a
+        # line whose singular value, about 0.05, lies below every node's
+        # threshold, so every fit keeps no direction and no node answers 00.
+        # No rank gap exists and the dimension floor 2^m - n - 1 is negative;
+        # the outputs' spectral norm, not 100 times below the threshold,
+        # leaves the outcome undecided
+        system, graph = self.CAPPED
+        outcome = solve_approximate(system, graph, RunConfig(seed=252, T=50))
+        assert outcome.diagnostics["fitted_dims"] == [0] * 5
+        assert outcome.per_node_solutions == ((),) * 5
+        assert len(outcome.undecided) == 5
+        for i, (reason, tol) in enumerate(
+            zip(outcome.undecided, outcome.diagnostics["member_tols"]), start=1
+        ):
+            assert reason.startswith(f"node {i}'s fit keeps no direction")
+            assert reason.endswith(f"threshold {tol:.3g}")
 
 
 class TestSearchThreshold:
