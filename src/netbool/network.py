@@ -8,27 +8,26 @@ the product W X of the mixing matrix with the stacked states, and row i
 of it reads only node i's neighbors, whose weights alone are nonzero.
 Independent runs on the same network step together as extra columns of
 X: row i then holds node i's states of every run, so a node still reads
-only its own equation and its neighbors' rows.  Each ``consensus`` call
-keeps one projection workspace, the residual and correction arrays its
-rounds overwrite, while every round's state is a fresh array.  Rounds
-are deterministic: each is a fixed sequence of array products, so under
-a fixed BLAS identical inputs give bit-identical trajectories.
-``run_to_convergence`` steps one run, or a batch of runs, each to its
-own limit: each node reads its own last two shifts and, once they are
-small, returns Aitken's extrapolate of its own trajectory, which stops a
-linearly convergent run about half as many rounds in, and nearer its
-limit, than the shift stop.  A run that stops leaves the batch, and the
-others step on without it.  While every run's shift is loud, too large
-for either stop, it reads the shifts in blocks: a round's shift is the
-last one's times M = blockdiag(I - h_i^+ h_i) (W kron I), with
-||M||_2 <= ||W||_2 <= 1, so a block's last 2-norm shift bounds every
-earlier one from below, and one test of it proves the whole block loud.
-The blocks move only the simulation's bookkeeping: the rounds, messages
-and stops are the per-round loop's, bit for bit.
+only its own equation and its neighbors' rows.  Rounds are
+deterministic: each is a fixed sequence of array products, so under a
+fixed BLAS identical inputs give bit-identical trajectories.
+
+A round is first-order, the paper's x <- P(W x), or second-order, an
+extension of the paper: heavy-ball consensus (Oreshkin, Coates and
+Rabbat, IEEE TSP 2010), x(t+1) = omega P(W x(t)) + (1 - omega) x(t-1),
+each node also keeping its own last state.  ``run_to_convergence``
+finishes each run second-order, at the optimal stationary omega (Golub
+and Varga 1961) for the rate its shifts read.  The limits are the
+paper's: with a round x <- M x + c, M = blockdiag(I - h_i^+ h_i)
+(W kron I), a convergent run has u^T c = 0 for any u^T M = u^T, so both
+recursions keep u^T x once x(t) and x(t-1) share it, as a first-order
+round leaves them; from round 2 on both, and so any affine combination
+of them, lie in each node's own solution set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -40,10 +39,10 @@ from .matricization import LiftedSystem
 
 __all__ = ["Graph", "build_weights", "consensus", "run_to_convergence"]
 
-# sup shift below which ``run_to_convergence`` reads each node's
-# extrapolated limit: the runs are then in their slowest mode, so one
-# ratio of a node's shifts is its contraction rate
-EXTRAPOLATE_BELOW = 1e-6
+# sup shift below which ``run_to_convergence`` switches a run to
+# second-order rounds: the run is then in its slowest modes, so a node's
+# ratio of its last two shifts is its contraction rate
+SECOND_ORDER_BELOW = 1e-4
 # rounds ``run_to_convergence`` takes at once from a loud batch, testing
 # only the last one's shift, and that test's relative margin for the
 # rounding a block adds to the shifts
@@ -134,6 +133,8 @@ def consensus(
     w: np.ndarray,
     states: np.ndarray,
     eqs: LiftedSystem | None = None,
+    omega: float | Sequence[float] | None = None,
+    previous: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
     """The rounds of synchronous runs from ``states``: an endless generator
     of state arrays, a new array each round.  ``states`` is one run's
@@ -144,18 +145,22 @@ def consensus(
     the mixing matrix ``w``, then, when ``eqs`` is given, projects onto its
     own affine solution set by y - h^+ (h y - z), for all nodes at once as
     batched products on the lift's stacked arrays, whose index i is node
-    i's equation.  With ``eqs`` None the round is plain averaging.  The k
-    runs live in one C-contiguous (n, d k) array, coordinate-major with
-    the run as the fastest axis, so a round is one ``w @ x`` for every run
-    and one projection on its (n, d, k) view; one run is the case k = 1,
-    where that array is the (n, d) state itself.  The residual h y - z,
-    (n, r, k) for r-row equations, and the correction h^+ (h y - z),
-    (n, d, k), are one workspace per call: the first round's products
-    allocate them and later rounds write into them, in the same order of
-    operations, so the states are bit-identical to freshly allocated
-    products.  Only ``w @ x`` makes a new array, and each yield is that
-    round's own, never a workspace array: a caller may keep every yield.
-    The inputs are checked when the first round is requested.
+    i's equation.  With ``eqs`` None the round is plain averaging.  With
+    ``omega`` given, one weight per run (a number for one run), the round
+    is second-order, x(t+1) <- omega P(W x(t)) + (1 - omega) x(t-1), from
+    ``previous``, the states one round before ``states``; omega = 1 is the
+    first-order round bit for bit, as 1 y + 0 x = y.  The k runs live in
+    one C-contiguous (n, d k) array, coordinate-major with the run as the
+    fastest axis, so a round is one ``w @ x`` for every run and one
+    projection on its (n, d, k) view; one run is the case k = 1, where
+    that array is the (n, d) state itself.  The residual h y - z, the
+    correction h^+ (h y - z) and (1 - omega) x(t-1) are one workspace per
+    call: the first round's products allocate them and later rounds write
+    into them, in the same order of operations, so the states are
+    bit-identical to freshly allocated products.  Only ``w @ x`` makes a
+    new array, and each yield is that round's own, never a workspace
+    array: a caller may keep every yield.  The inputs are checked when the
+    first round is requested.
     """
     x = np.asarray(states, dtype=float)
     n = w.shape[0]
@@ -165,16 +170,28 @@ def consensus(
         )
     if eqs is not None and len(eqs.h) != n:
         raise ValueError(f"expected {n} equations, got {len(eqs.h)}")
+    if omega is not None and np.shape(previous) != x.shape:
+        raise ValueError(f"second-order rounds need previous states shaped {x.shape}")
     batched = x.ndim == 3
     k, d = (x.shape[0], x.shape[2]) if batched else (1, x.shape[1])
     if batched:
         x = x.transpose(1, 2, 0).reshape(n, d * k)  # a C-contiguous copy
     del states  # the rounds read only x: the caller's initials can go
-    resid = step = None  # the projection workspace, from the first round's products
+    if omega is not None:  # x(t-1), omega and 1 - omega in the states' layout
+        before = np.asarray(previous, dtype=float)
+        before = before.transpose(1, 2, 0).reshape(n, d * k) if batched else before
+        keep = np.empty((n, d, k))
+        keep[...] = omega  # whole-array products take half the time of a broadcast
+        omega, keep = keep.reshape(x.shape), 1.0 - keep.reshape(x.shape)
+    del previous
+    resid = step = held = None  # the workspace, from the first round's products
     # a local name and a positional ``out`` skip a lookup and the keyword
     # parse: rounds at d <= 16 are mostly interpreter time
-    matmul = np.matmul
+    matmul, multiply = np.matmul, np.multiply
     while True:
+        if omega is not None:
+            held = multiply(before, keep, held)  # (1 - omega) x(t-1)
+            before = x
         x = w @ x
         y = x.reshape(n, d, k)
         if eqs is not None:
@@ -182,6 +199,9 @@ def consensus(
             resid -= eqs.z
             step = matmul(eqs.h_pinv, resid, step)
             y -= step
+        if omega is not None:
+            x *= omega
+            x += held
         yield y.transpose(2, 0, 1) if batched else x
 
 
@@ -199,45 +219,42 @@ def run_to_convergence(
     whether each run converged), the last two as lists of k ``int`` and
     ``bool``, one entry for one run's (n, d) states.
 
-    Two stops per run, sup norms throughout.  A round whose largest
-    per-node state change in the run is below ``tol`` stops the run with
-    that round's state.  Once that change is below ``EXTRAPOLATE_BELOW``,
-    each node i also reads its own last two shifts s_i and returns
-    Aitken's Delta^2 limit of its own trajectory: with rho_i = |s_i(t)| /
-    |s_i(t-1)|, the extrapolate is x_i(t) + s_i(t) rho_i / (1 - rho_i),
-    and the run stops once no node's extrapolate moves by ``tol`` in one
-    round.  A node with a zero shift or rho_i >= 1 keeps its plain state.
-    The stop is the AND of the run's node bits, each from the node's own
-    states only; the rounds and messages are those of ``consensus``.  With
-    equations, each x_i(t) and x_i(t-1) lies in node i's own solution
-    set, so the extrapolate, which moves along s_i, stays in it.  A run
-    cut by ``max_rounds`` returns the plain state.  A run that stops
-    leaves the batch: ``consensus`` restarts from the other runs' current
-    states, so each run's rounds are those it would take alone (batched
-    products may round a last bit differently).
+    One stop per run: the first round whose sup shift s(t), the largest
+    per-node state change in the run, is below ``tol``.  Each run starts
+    first-order.  From round 2 on, a first-order run with s(t) below
+    ``SECOND_ORDER_BELOW``, in its slowest modes, reads its rate as rho =
+    s(t) / s(t-1) and steps second-order from the next round on, at
+    omega = 2 / (1 + sqrt(1 - rho^2)); a ratio not below 1 waits a round.
+    Its slow modes then contract at r = sqrt(omega - 1) < rho, so a
+    stopped run lies within about s(t) r / (1 - r) of its limit.  The
+    largest of the nodes' own ratios would overshoot rho where faster
+    modes cancel in a node's shift: corpus runs rang and stopped up to
+    1.4e-8 from their limits, against 4.6e-9.  In a network s(t) is a
+    max-flood of the nodes' own sup shifts and the stop an AND of their
+    bits; like the solvers' certificate, the simulation reads both
+    directly.  A run cut by ``max_rounds`` returns its state then.  A run
+    that stops or switches restarts ``consensus`` from the running runs'
+    current and previous states, so each run's rounds are those it would
+    take alone (batched products may round a last bit differently).
 
-    A round is loud when every running run's sup shift is at least
-    quiet = max(tol, ``EXTRAPOLATE_BELOW``): no run stops or
-    extrapolates, and the loop only keeps the round's state.  Before the
-    first round and after a loud one, unless a failed block is still
-    being replayed or ``max_rounds`` falls within the next ``BLOCK``
-    rounds, the loop takes ``BLOCK`` rounds at once and tests only the
-    last one's shift: if every run's 2-norm shift is at least sqrt(n d)
-    quiet (1 + ``LOUD_MARGIN``), every round of the block was loud, and
-    the loop keeps only the last state.  The proof: each round's shift is the
-    previous one's times M = blockdiag(I - h_i^+ h_i) (W kron I), the
-    projections' affine offsets cancelling, and an orthogonal projector
-    has norm 1, so ||M||_2 <= ||w||_2 <= 1 and a run's 2-norm shift never
-    grows; a sup norm is at least the 2-norm over sqrt(n d).  The margin,
-    at least 1e-12 absolute, is about 100 times what rounding adds to a
-    shift's 2-norm over a block of states of order one, as the solvers'
-    are (uniform initials, limits in the lift's solution sets).  Every
-    ``build_weights`` matrix has ||w||_2 <= 1, its eigenvalues
-    1 - epsilon lambda lying in (-1, 1] for epsilon < 1/n; for a ``w``
-    above 1 + 1e-12 the loop takes no block.  A block that fails the test
-    is replayed round by round from its kept states, and a run that stops
-    inside it restarts ``consensus`` and drops the rest, so the states,
-    rounds and flags are the per-round loop's, bit for bit.
+    While every run is first-order, a round is loud when every run's sup
+    shift is at least quiet = max(tol, ``SECOND_ORDER_BELOW``), so that no
+    run stops or switches.  Unless a failed block is being replayed or
+    ``max_rounds`` falls within the next ``BLOCK`` rounds, the loop then
+    takes ``BLOCK`` rounds at once and tests only the last shift: if every
+    run's 2-norm shift is at least sqrt(n d) quiet (1 + ``LOUD_MARGIN``),
+    every round of the block was loud, since each first-order round's
+    shift is the last one's times M, the affine offsets cancelling, with
+    ||M||_2 <= ||w||_2 <= 1, and a sup norm is at least the 2-norm over
+    sqrt(n d).  A second-order round's map, a companion matrix, is not
+    normal and may grow a shift, so no block is taken once a run has
+    switched.  The margin, at least 1e-12 absolute, is about 100 times the
+    rounding a block adds to the shifts of states of order one, as the
+    solvers' are; for a ``w`` with ||w||_2 above 1 + 1e-12, which no
+    ``build_weights`` matrix has, the loop takes no block.  A failed block
+    is replayed round by round, and a run that stops or switches inside
+    it drops the rest, so the results are the per-round loop's, bit for
+    bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -250,13 +267,13 @@ def run_to_convergence(
     k = len(prev)
     final = np.empty_like(prev)
     rounds, converged = [0] * k, [False] * k
-    # per running run: its index in ``states``, its rounds in a row below
-    # EXTRAPOLATE_BELOW (None while every run is above it), and each
-    # node's last sup shift and last extrapolate.  Per-run scalars are
-    # Python lists: a batch holds a few dozen runs at most, and a round
-    # at d <= 16 is mostly interpreter time
-    active, streak, last, prev_est = list(range(k)), None, None, None
-    quiet = max(tol, EXTRAPOLATE_BELOW)  # no run stops or extrapolates above it
+    # per running run: its index in ``states`` and its omega, 1 while it is
+    # first-order.  Per-run scalars are Python lists: a batch holds a few
+    # dozen runs at most, and a round at d <= 16 is mostly interpreter time
+    active, omega, first_order = list(range(k)), [1.0] * k, True
+    # no run stops or switches above quiet, nor a running run above floor,
+    # which is quiet until every running run has switched, then tol
+    floor = quiet = max(tol, SECOND_ORDER_BELOW)
     # a block whose last squared 2-norm shift is at least ``loud`` in every
     # run was loud in every round; with ||w||_2 > 1 a shift may grow
     loud = prev[0].size * (quiet * (1 + LOUD_MARGIN)) ** 2  # n d per run
@@ -264,65 +281,47 @@ def run_to_convergence(
     replayed = 0  # the last round of a failed block, which ``runs`` replays
     largest_of = np.maximum.reduce
     runs = consensus(w, prev, eqs)
-    t = 0
+    t, largest = 0, None  # each running run's sup shift in round t
     while True:
-        if streak is None and t >= replayed and t + BLOCK < max_rounds and blocks:
+        if first_order and t >= replayed and t + BLOCK < max_rounds and blocks:
             block = list(islice(runs, BLOCK))
             shift = block[-1] - block[-2]
             if min(np.einsum("kij,kij->k", shift, shift).tolist()) >= loud:
                 prev, t = block[-1], t + BLOCK
+                largest = largest_of(np.abs(shift), axis=(1, 2)).tolist()
                 continue
             runs, replayed = chain(block, runs), t + BLOCK
         x = next(runs)
         t += 1
-        shift = x - prev
-        size = np.abs(shift)
-        largest = largest_of(size, axis=(1, 2)).tolist()
-        if t < max_rounds and min(largest) >= quiet:
-            prev, streak = x, None
-            continue
-        done = [s < tol for s in largest]
-        if t == max_rounds:
-            final[active] = x
-            for j, c in zip(active, done):
-                rounds[j], converged[j] = t, c
-            break
-        streak = [
-            s + 1 if a < EXTRAPOLATE_BELOW else 0
-            for s, a in zip(streak or [0] * len(active), largest)
-        ]
-        node = largest_of(size, axis=2)
-        settled = [False] * len(active)
-        if max(streak) >= 2:
-            # rho / (1 - rho) = node / (last - node); a node with rho >= 1
-            # or a zero last shift divides by inf, not by zero, and keeps
-            # its plain state without a warning.  A run extrapolates from
-            # its second round below the guard and may stop from its
-            # third: a node's two shifts, and two extrapolates, must be
-            # consecutive
-            shift *= (node / np.where(last > node, last - node, np.inf))[:, :, None]
-            est = shift + x
-            if max(streak) >= 3:
-                moved = largest_of(np.abs(est - prev_est), axis=(1, 2)).tolist()
-                settled = [s >= 3 and a < tol and not p for s, a, p in zip(streak, moved, done)]
-            prev_est = est
-        last = node
-        if not (any(done) or any(settled)):
+        last, largest = largest, largest_of(np.abs(x - prev), axis=(1, 2)).tolist()
+        if t < max_rounds and min(largest) >= floor:
             prev = x
             continue
-        going = []
-        for j, (plain, extrapolated) in enumerate(zip(done, settled)):
-            if plain or extrapolated:
-                final[active[j]] = est[j] if extrapolated else x[j]
-                rounds[active[j]], converged[active[j]] = t, True
-            else:
-                going.append(j)
+        order = omega
+        if 1.0 in omega:
+            # a first-order run below SECOND_ORDER_BELOW switches at the ratio
+            # of its last two sup shifts if below 1 (round 1 has one shift)
+            order = [
+                2.0 / (1.0 + math.sqrt(1.0 - (s / b) ** 2))
+                if o == 1.0 and s < SECOND_ORDER_BELOW and s < b
+                else o
+                for o, s, b in zip(omega, largest, last or largest)
+            ]
+        going = [j for j, s in enumerate(largest) if s >= tol and t < max_rounds]
+        if len(going) == len(active) and order == omega:
+            prev = x
+            continue
+        for j, s in enumerate(largest):
+            if s < tol or t == max_rounds:
+                final[active[j]] = x[j]
+                rounds[active[j]], converged[active[j]] = t, s < tol
         if not going:
             break
-        active = [active[j] for j in going]
-        streak = [streak[j] for j in going]
-        prev, last = x[going], last[going]
-        if prev_est is not None:
-            prev_est = prev_est[going]
-        runs, replayed = consensus(w, prev, eqs), t
+        active, omega = [active[j] for j in going], [order[j] for j in going]
+        largest = [largest[j] for j in going]
+        first_order = max(omega) == 1.0  # then no run needs its previous states
+        floor = quiet if 1.0 in omega else tol
+        x = x[going]
+        runs = consensus(w, x, eqs) if first_order else consensus(w, x, eqs, omega, prev[going])
+        prev, replayed = x, t
     return (final[0] if single else final), rounds, converged

@@ -67,9 +67,9 @@ __all__ = [
 
 Assignment = tuple[int, ...]
 
-# per-round sup-norm change below which a convergent consensus run stops,
-# of the state itself or of the nodes' extrapolated limits
-# (``network.run_to_convergence``; ``max_rounds`` caps it otherwise)
+# per-round sup-norm change of its states below which a convergent
+# consensus run stops (``network.run_to_convergence``; ``max_rounds`` caps
+# it otherwise)
 CONSENSUS_TOL = 1e-10
 # gap between a node's consensus limit and the network average above which
 # satisfiability verification calls the lifted system inconsistent
@@ -172,11 +172,11 @@ def distributed_lae(
     (k, n, d) that step together.  With ``eqs`` None the runs are the
     plain network average.
 
-    With ``config.T`` unset, ``run_to_convergence`` iterates each run
-    until the per-round change of its states, or of its nodes'
-    extrapolated limits, drops below ``CONSENSUS_TOL`` (or
-    ``max_rounds``), each run to its own round; with ``T`` set, exactly T
-    rounds of ``consensus`` run.  Returns (final states, shaped and
+    With ``config.T`` unset, ``run_to_convergence`` iterates each run,
+    first-order and then second-order, until the per-round change of its
+    states drops below ``CONSENSUS_TOL`` (or ``max_rounds``), each run to
+    its own round; with ``T`` set, exactly T first-order rounds of
+    ``consensus`` run.  Returns (final states, shaped and
     C-contiguous like ``initials``, the rounds summed over the runs,
     whether every run converged, a last entry): without ``T`` it is the
     pair of lists (each run's rounds, each run's converged flag), one

@@ -10,6 +10,7 @@ scan and the exact modes' certified runs drawn one at a time)."""
 
 from __future__ import annotations
 
+import math
 import os
 
 # One BLAS thread, set before numpy loads: on a 2-CPU host a second
@@ -39,7 +40,7 @@ from netbool.formula import (
 )
 from netbool.linalg import AffineSubspace, best_affine_fit, dist_to_affine
 from netbool.matricization import LiftedSystem, itob, lift_system
-from netbool.network import EXTRAPOLATE_BELOW, Graph, consensus
+from netbool.network import SECOND_ORDER_BELOW, Graph, consensus
 from netbool.solver import RANK_TOL, RunConfig, SplitMix64, distributed_lae
 
 settings.register_profile(
@@ -378,9 +379,15 @@ def per_round_convergence(
     max_rounds: int,
 ) -> tuple[np.ndarray, list[int], list[bool]]:
     """Reference for ``network.run_to_convergence``, with its arguments and
-    results: the same stop rules, with every round's shift read one round
-    at a time and no block of rounds skipped.  Its states, rounds and
-    converged flags are the engine's bit for bit."""
+    results, read one round at a time with no block of rounds skipped.
+    Each run starts first-order and stops in the first round whose sup
+    shift is below ``tol``.  From round 2 on, a first-order run whose sup
+    shift s(t) is below ``SECOND_ORDER_BELOW`` and below s(t - 1) switches
+    to second-order rounds at omega = 2 / (1 + sqrt(1 - rho^2)), rho =
+    s(t) / s(t - 1); a ratio not below 1 waits a round.  Whenever a run
+    stops or switches, ``consensus`` restarts from the running runs'
+    states, with their previous states once one of them is second-order.
+    Its states, rounds and converged flags are the engine's bit for bit."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_rounds < 1:
@@ -392,67 +399,33 @@ def per_round_convergence(
     k = len(prev)
     final = np.empty_like(prev)
     rounds, converged = [0] * k, [False] * k
-    # per running run: its index in ``states``, its rounds in a row below
-    # EXTRAPOLATE_BELOW (None while every run is above it), and each
-    # node's last sup shift and last extrapolate.  Per-run scalars are
-    # Python lists: a batch holds a few dozen runs at most, and a round
-    # at d <= 16 is mostly interpreter time
-    active, streak, last, prev_est = list(range(k)), None, None, None
-    quiet = max(tol, EXTRAPOLATE_BELOW)  # no run stops or extrapolates above it
-    largest_of = np.maximum.reduce
+    active, omega, last = list(range(k)), [1.0] * k, [math.inf] * k
     runs = consensus(w, prev, eqs)
     for t in range(1, max_rounds + 1):
         x = next(runs)
-        shift = x - prev
-        size = np.abs(shift)
-        largest = largest_of(size, axis=(1, 2)).tolist()
-        if t < max_rounds and min(largest) >= quiet:
-            prev, streak = x, None
-            continue
-        done = [s < tol for s in largest]
-        if t == max_rounds:
-            final[active] = x
-            for j, c in zip(active, done):
-                rounds[j], converged[j] = t, c
-            break
-        streak = [
-            s + 1 if a < EXTRAPOLATE_BELOW else 0
-            for s, a in zip(streak or [0] * len(active), largest)
-        ]
-        node = largest_of(size, axis=2)
-        settled = [False] * len(active)
-        if max(streak) >= 2:
-            # rho / (1 - rho) = node / (last - node); a node with rho >= 1
-            # or a zero last shift divides by inf, not by zero, and keeps
-            # its plain state without a warning.  A run extrapolates from
-            # its second round below the guard and may stop from its
-            # third: a node's two shifts, and two extrapolates, must be
-            # consecutive
-            shift *= (node / np.where(last > node, last - node, np.inf))[:, :, None]
-            est = shift + x
-            if max(streak) >= 3:
-                moved = largest_of(np.abs(est - prev_est), axis=(1, 2)).tolist()
-                settled = [s >= 3 and a < tol and not p for s, a, p in zip(streak, moved, done)]
-            prev_est = est
-        last = node
-        if not (any(done) or any(settled)):
-            prev = x
-            continue
-        going = []
-        for j, (plain, extrapolated) in enumerate(zip(done, settled)):
-            if plain or extrapolated:
-                final[active[j]] = est[j] if extrapolated else x[j]
-                rounds[active[j]], converged[active[j]] = t, True
-            else:
-                going.append(j)
+        shifts = [float(np.abs(x[j] - prev[j]).max()) for j in range(len(active))]
+        going, changed = [], False
+        for j, s in enumerate(shifts):
+            if s < tol or t == max_rounds:
+                final[active[j]] = x[j]
+                rounds[active[j]], converged[active[j]] = t, s < tol
+                continue
+            going.append(j)
+            if omega[j] == 1.0 and t >= 2 and s < SECOND_ORDER_BELOW and s < last[j]:
+                omega[j] = 2.0 / (1.0 + math.sqrt(1.0 - (s / last[j]) ** 2))
+                changed = changed or omega[j] != 1.0
         if not going:
             break
-        active = [active[j] for j in going]
-        streak = [streak[j] for j in going]
-        prev, last = x[going], last[going]
-        if prev_est is not None:
-            prev_est = prev_est[going]
-        runs = consensus(w, prev, eqs)
+        if len(going) < len(active) or changed:
+            active = [active[j] for j in going]
+            omega = [omega[j] for j in going]
+            shifts = [shifts[j] for j in going]
+            x, prev = x[going], prev[going]
+            if all(o == 1.0 for o in omega):
+                runs = consensus(w, x, eqs)
+            else:
+                runs = consensus(w, x, eqs, omega, prev)
+        prev, last = x, shifts
     return (final[0] if single else final), rounds, converged
 
 

@@ -1,5 +1,7 @@
+import importlib
 import math
 from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,16 +21,18 @@ from conftest import (
     random_satisfiable_system,
     stack_equations,
 )
+from netbool import network
 from netbool.formula import BooleanSystem
 from netbool.matricization import lift_system
 from netbool.network import (
     BLOCK,
-    EXTRAPOLATE_BELOW,
+    SECOND_ORDER_BELOW,
     Graph,
     build_weights,
     consensus,
     run_to_convergence,
 )
+from netbool.solver import CONSENSUS_TOL, RunConfig, SplitMix64
 
 # ex1 with its first equation replaced by the constant 1: one row of that
 # node's H is all zero
@@ -240,6 +244,46 @@ class TestBatchedRuns:
         assert np.array_equal(batch, before)  # the input is not stepped in place
 
 
+class TestSecondOrderRounds:
+    def test_round_is_the_heavy_ball_formula(self, ex1, path3):
+        # one omega per run: x(t+1) = omega P(W x(t)) + (1 - omega) x(t-1)
+        eqs = lift_system(ex1)
+        w = build_weights(path3, 0.3)
+        before, x = np.random.default_rng(30).random((2, 3, 3, 8))
+        omega = np.array([1.0, 1.5, 1.9])[:, None, None]
+        for stepped in islice(consensus(w, x, eqs, omega.ravel(), before), 50):
+            expected = omega * next(consensus(w, x, eqs)) + (1 - omega) * before
+            assert np.abs(stepped - expected).max() < 1e-12
+            before, x = x, stepped
+
+    def test_unit_weight_is_the_first_order_round(self, ex1, path3):
+        # 1 y + 0 x(t-1) = y, whatever the previous states
+        eqs = lift_system(ex1)
+        w = build_weights(path3, 0.3)
+        x = np.random.default_rng(32).random((3, 8))
+        plain = islice(consensus(w, x, eqs), 30)
+        unit = consensus(w, x, eqs, 1.0, x + 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(plain, unit))
+
+    def test_keeps_what_a_first_order_round_keeps(self):
+        # plain averaging keeps each coordinate's sum over the nodes, and so
+        # does a second-order round from two states that share it
+        g = Graph.from_edge_list(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
+        w = build_weights(g, 0.2)
+        initials = np.random.default_rng(31).random((4, 6))
+        total = initials.sum(axis=0)
+        x = next(consensus(w, initials))
+        for states in islice(consensus(w, x, None, 1.8, initials), 100):
+            assert np.allclose(states.sum(axis=0), total, atol=1e-12)
+
+    def test_needs_the_previous_states(self, path3):
+        w = build_weights(path3, 0.2)
+        with pytest.raises(ValueError, match="previous states"):
+            next(consensus(w, np.zeros((3, 2)), None, 1.5))
+        with pytest.raises(ValueError, match="previous states"):
+            next(consensus(w, np.zeros((2, 3, 2)), None, [1.5, 1.5], np.zeros((3, 2))))
+
+
 def allocating_rounds(w, x, eqs):
     """The round as a plain formula on the engine's (n, d k) layout, with
     every product a fresh array: the reference for the workspace round."""
@@ -280,6 +324,39 @@ class TestProjectionWorkspace:
             pass
         for state, copy in zip(kept, copies):
             assert np.array_equal(state, copy)
+
+
+def switched_rounds(w, initials, eqs, count):
+    """The first ``count`` rounds of one run under ``run_to_convergence``'s
+    rule, replayed on ``consensus``: first-order until the first round
+    t >= 2 whose sup shift s(t) is below ``SECOND_ORDER_BELOW`` and below
+    s(t - 1), then second-order at omega = 2 / (1 + sqrt(1 - rho^2)),
+    rho = s(t) / s(t - 1).  Returns (the states, the switch round, omega),
+    the last two None if the run does not switch."""
+    states, shifts, switch, omega = [initials], [], None, None
+    runs = consensus(w, initials, eqs)
+    for t in range(1, count + 1):
+        states.append(next(runs))
+        shifts.append(np.abs(states[-1] - states[-2]).max())
+        if switch is None and t >= 2 and shifts[-1] < min(SECOND_ORDER_BELOW, shifts[-2]):
+            switch, omega = t, 2 / (1 + math.sqrt(1 - (shifts[-1] / shifts[-2]) ** 2))
+            runs = consensus(w, states[-1], eqs, omega, states[-2])
+    return states[1:], switch, omega
+
+
+def record_restarts(monkeypatch):
+    """Records (omega, states, previous states) for each second-order
+    ``consensus`` that ``run_to_convergence`` starts."""
+    calls = []
+    plain = network.consensus
+
+    def recording(w, states, eqs=None, omega=None, previous=None):
+        if omega is not None:
+            calls.append((np.ravel(omega).tolist(), np.copy(states), np.copy(previous)))
+        return plain(w, states, eqs, omega, previous)
+
+    monkeypatch.setattr(network, "consensus", recording)
+    return calls
 
 
 class TestRunToConvergence:
@@ -337,13 +414,16 @@ class TestRunToConvergence:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_extrapolated_stop(self, ex1, path3, seed):
+        # a second-order round extrapolates each node's mix past its last
+        # state, along its own step: the run stops sooner than the
+        # first-order rounds' own stop, and nearer its limit
         eqs = lift_system(ex1)
         w = build_weights(path3, 0.3)
         initials = np.random.default_rng(seed).random((3, 8))
         states, (rounds,), (converged,) = run_to_convergence(w, initials, eqs, 1e-10, 5000)
         assert converged
-        # the plain states up to the round whose sup shift first falls below
-        # tol, where the shift rule alone stops
+        # the first-order states up to the round whose sup shift first falls
+        # below tol
         plain = [initials]
         for x in consensus(w, initials, eqs):
             plain.append(x)
@@ -354,8 +434,8 @@ class TestRunToConvergence:
         distance = np.abs(states - expected).max()
         assert distance < 1e-8
         assert distance < np.abs(plain[rounds] - expected).max()
-        # node i's extrapolate moves along its own shift, which lies in the
-        # directions of {y : h_i y = z_i}
+        # node i's states stay in {y : h_i y = z_i}: from round 2 on, a
+        # second-order round is an affine combination of two of its points
         residual = eqs.h @ states[:, :, None] - eqs.z
         assert np.abs(residual).max() < 1e-12
 
@@ -364,20 +444,78 @@ class TestRunToConvergence:
         w = build_weights(path3, 0.3)
         initials = np.random.default_rng(8).random((3, 8))
         _, (rounds,), _ = run_to_convergence(w, initials, eqs, 1e-10, 5000)
-        # a cap inside the extrapolating rounds, just before the stop
+        # a cap inside the second-order rounds, just before the stop: the
+        # run returns its state in that round, unextrapolated
         states, (capped,), (converged,) = run_to_convergence(w, initials, eqs, 1e-10, rounds - 1)
         assert capped == rounds - 1 and not converged
-        plain = list(islice(consensus(w, initials, eqs), rounds - 1))[-1]
-        assert np.array_equal(states, plain)
+        replay, switch, _ = switched_rounds(w, initials, eqs, rounds - 1)
+        assert switch < rounds - 1
+        assert np.array_equal(states, replay[-1])
+
+    def test_omega_from_the_last_two_sup_shifts(self, ex1, path3, monkeypatch):
+        # one restart, at the switch, with omega read from the run's sup
+        # shifts in that round and the one before
+        eqs = lift_system(ex1)
+        w = build_weights(path3, 0.3)
+        initials = np.random.default_rng(8).random((3, 8))
+        calls = record_restarts(monkeypatch)
+        states, (rounds,), (converged,) = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+        replay, switch, omega = switched_rounds(w, initials, eqs, rounds)
+        assert converged and 1 < omega < 2
+        [(omegas, current, previous)] = calls
+        assert omegas == [omega]
+        # one run steps as the batch of one
+        assert np.array_equal(current, [replay[switch - 1]])
+        assert np.array_equal(previous, [replay[switch - 2]])
+        assert np.array_equal(states, replay[-1])
+
+    def test_a_ratio_not_below_one_waits_a_round(self, ex1, monkeypatch):
+        # ex1 on the path at epsilon 0.1 from seed 8: the sup shift grows in
+        # round 14 and shrinks in round 15.  A run started at round 12's
+        # states, moved 1000-fold nearer their limit, has every shift below
+        # SECOND_ORDER_BELOW, reads a ratio above 1 in round 2, and switches
+        # in round 3
+        eqs = lift_system(ex1)
+        w = build_weights(path_graph(3), 0.1)
+        initials = np.random.default_rng(8).random((3, 8))
+        limit = central_projected_average(eqs, initials)
+        start = limit + 1e-3 * (list(islice(consensus(w, initials, eqs), 12))[-1] - limit)
+        first = list(islice(consensus(w, start, eqs), 3))
+        shifts = [np.abs(b - a).max() for a, b in zip([start, *first], first)]
+        assert max(shifts) < SECOND_ORDER_BELOW
+        assert shifts[0] <= shifts[1] and shifts[2] < shifts[1]
+        calls = record_restarts(monkeypatch)
+        run_to_convergence(w, start, eqs, 1e-10, 5000)
+        [(omegas, current, previous)] = calls
+        assert omegas == [2 / (1 + math.sqrt(1 - (shifts[2] / shifts[1]) ** 2))]
+        assert np.array_equal(current, [first[2]]) and np.array_equal(previous, [first[1]])
+
+    def test_plain_averaging_switches(self, monkeypatch):
+        # the network average, as sat's stage one takes it, follows the
+        # same rule, in fewer rounds than the first-order rounds' own stop
+        w = build_weights(path_graph(4), 0.2)
+        initials = np.random.default_rng(5).random((4, 5))
+        calls = record_restarts(monkeypatch)
+        states, (rounds,), (converged,) = run_to_convergence(w, initials, None, 1e-12, 10000)
+        assert converged and len(calls) == 1 and 1 < calls[0][0][0] < 2
+        assert np.abs(states - initials.mean(axis=0)).max() < 1e-9
+        prev = initials
+        for plain, x in enumerate(consensus(w, initials), start=1):
+            if np.abs(x - prev).max() < 1e-12:
+                break
+            prev = x
+        assert rounds < plain
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fast", [0.0, -3.0], ids=["zero-shift", "growing-shift"])
     def test_guarded_nodes_keep_the_plain_state(self, path3, fast):
-        # plain averaging on the path 1-2-3 below the extrapolation guard,
-        # along its slow mode (1, 0, -1) and its fast mode (1, -2, 1): alone,
-        # the slow mode never moves node 2 (powers of two keep its mix of
-        # nodes 1 and 3 exactly zero); mixed in, the fast mode passes node
-        # 1's shift through zero, so that shift grows for a few rounds
+        # plain averaging on the path 1-2-3 from shifts far below
+        # SECOND_ORDER_BELOW, along its slow mode (1, 0, -1) and its fast
+        # mode (1, -2, 1): alone, the slow mode never moves node 2 (powers
+        # of two keep its mix of nodes 1 and 3 exactly zero); mixed in, the
+        # fast mode passes node 1's shift through zero, so that shift grows
+        # for a few rounds.  Neither a zero nor a growing node shift enters
+        # the run's ratio, which is of its sup shifts
         w = build_weights(path3, 0.25)
         modes = np.array([1.0, 0.0, -1.0]) + fast * np.array([1.0, -2.0, 1.0])
         initials = 2.0**-24 * np.tile(modes[:, None], (1, 2))
@@ -453,8 +591,9 @@ def assert_matches_per_round(w, states, eqs, tol, max_rounds):
 
 
 class TestLoudBlocks:
-    """The blocks of loud rounds skip only the per-round stop check: every
-    result equals the per-round loop's (``conftest.per_round_convergence``)."""
+    """The blocks of loud rounds skip only the per-round stop and switch
+    checks: every result equals the per-round loop's
+    (``conftest.per_round_convergence``)."""
 
     def test_single_run(self, ex1, path3):
         w = build_weights(path3, 0.3)
@@ -510,10 +649,10 @@ class TestLoudBlocks:
         # ||w||_2 = 10: the shift grows tenfold a round, so round 1 is below
         # tol and stops the run, while a block's last shift would pass the test
         w = 10.0 * np.eye(3)
-        initials = np.full((3, 2), 1e-12)
+        initials = np.full((3, 2), 1e-11)
         shifts = np.diff([initials, *islice(consensus(w, initials), BLOCK)], axis=0)
         assert np.abs(shifts[0]).max() < 1e-10
-        assert np.linalg.norm(shifts[-1]) > math.sqrt(6) * EXTRAPOLATE_BELOW * 1.1
+        assert np.linalg.norm(shifts[-1]) > math.sqrt(6) * SECOND_ORDER_BELOW * 1.1
         _, rounds, converged = assert_matches_per_round(w, initials, None, 1e-10, 5000)
         assert (rounds, converged) == ([1], [True])
 
@@ -523,14 +662,64 @@ class TestLoudBlocks:
         # sqrt(n d), so the block's test fails and the rounds are replayed
         w = build_weights(path3, 0.25)
         initials = np.zeros((3, 8))
-        initials[0, 0] = 2.0**-13
+        initials[0, 0] = 2.0**-7
         shifts = np.diff([initials, *islice(consensus(w, initials), BLOCK)], axis=0)
-        assert np.abs(shifts).max(axis=(1, 2)).min() >= EXTRAPOLATE_BELOW
-        assert np.linalg.norm(shifts[-1]) < math.sqrt(24) * EXTRAPOLATE_BELOW
+        assert np.abs(shifts).max(axis=(1, 2)).min() >= SECOND_ORDER_BELOW
+        assert np.linalg.norm(shifts[-1]) < math.sqrt(24) * SECOND_ORDER_BELOW
         _, (rounds,), (converged,) = assert_matches_per_round(
             w, initials, None, 1e-10, 5000
         )
         assert converged and rounds > BLOCK
+
+
+
+class TestCorpusRuns:
+    """Each benchmark corpus problem's batch of runs, as the exact modes
+    draw it at workload seed 1."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads").WORKLOADS
+        found = []
+        for name in ("exact-small", "sat-mixed"):
+            for doc in workloads[name].generate(1):
+                system = BooleanSystem.from_texts(
+                    doc["m"], [(e["formula"], e["rhs"]) for e in doc["equations"]]
+                )
+                graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+                config = RunConfig(**doc["config"])
+                n, d = graph.n, 2**system.m
+                runs = min(config.effective_k_star(system.m), d + 2)
+                found.append((
+                    build_weights(graph, config.effective_epsilon(n)),
+                    SplitMix64(config.seed).random((runs, n, d)),
+                    lift_system(system),
+                ))
+        return found
+
+    def test_limits_match_first_order_limits(self, batches):
+        # against first-order rounds run on to a sup shift of 1e-13
+        worst = 0.0
+        for w, initials, eqs in batches:
+            states, _, converged = run_to_convergence(w, initials, eqs, CONSENSUS_TOL, 5000)
+            assert all(converged)
+            prev = initials
+            for limits in consensus(w, initials, eqs):
+                if np.abs(limits - prev).max() < 1e-13:
+                    break
+                prev = limits
+            worst = max(worst, np.abs(states - limits).max())
+        print(f"largest distance from the first-order limits: {worst:.3g}")
+        assert worst < 1e-8
+
+    def test_each_run_takes_its_own_rounds(self, batches):
+        for w, initials, eqs in batches:
+            states, rounds, _ = run_to_convergence(w, initials, eqs, CONSENSUS_TOL, 5000)
+            for j, start in enumerate(initials):
+                single, alone, _ = run_to_convergence(w, start, eqs, CONSENSUS_TOL, 5000)
+                assert alone == [rounds[j]]
+                assert np.abs(single - states[j]).max() < 1e-12
 
 
 class TestDeterminism:

@@ -485,9 +485,9 @@ class TestUndecided:
         )
 
     def test_stage_two_reasons_pass_through(self, ex1, path3):
-        # seed 3: stage one converges in 121 rounds, stage two's runs need
-        # 123 to 151
-        outcome = verify_satisfiability(ex1, path3, RunConfig(seed=3, max_rounds=130))
+        # seed 3: stage one converges in 103 rounds, stage two's runs need
+        # 94 to 114
+        outcome = verify_satisfiability(ex1, path3, RunConfig(seed=3, max_rounds=110))
         assert outcome.diagnostics["limits_converged"]
         assert outcome.stage == "solved"
         assert outcome.undecided == ("consensus hit max_rounds (converged is false)",)
@@ -696,10 +696,13 @@ SILENT_EMPTY_DOC = {
 
 
 # sat-mixed's Boolean-unsatisfiable m = 3, n = 6 entry at seed 1 (problem
-# 7), whose runs mix so slowly that sat's stage one hits max_rounds.  At
-# T = 2000 its outputs still lie 7.7e-2 to 9.3e-2 from their limits, while
-# the calibrated bound c* exp(-gamma* T) read 9.77e-3 and left the outcome
-# decided
+# 7), whose runs mix slowly.  First-order rounds alone left sat's stage one
+# at max_rounds = 5000 with a largest node gap of 3.4e-4, and so
+# "unsatisfiable" at stage "consensus-disagreement", undecided; the
+# second-order tail reaches its limits in 2,383 rounds, with node gaps of at
+# most 2.9e-11, and stage two finds no solution.  The truncated mode stays
+# first-order: at T = 2000 its outputs still lie 7.7e-2 to 9.3e-2 from
+# their limits, and each node's own bound reads at least 6e-2
 SLOW_MIXING_DOC = {
     "m": 3,
     "equations": [
@@ -713,6 +716,22 @@ SLOW_MIXING_DOC = {
     "edges": [[1, 5], [1, 6], [2, 5], [3, 4], [3, 5]],
     "config": {"seed": 509626757},
 }
+
+
+def test_slow_mixing_stage_one_reaches_its_limits():
+    doc = SLOW_MIXING_DOC
+    system = BooleanSystem.from_texts(doc["m"], doc["equations"])
+    graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+    outcome = verify_satisfiability(system, graph, RunConfig(**doc["config"]))
+    assert outcome.diagnostics["limits_converged"]
+    assert outcome.diagnostics["limit_rounds"] < 3000
+    assert max(outcome.diagnostics["node_gaps"]) < 1e-9
+    assert (outcome.verdict, outcome.stage, outcome.undecided) == (
+        "unsatisfiable",
+        "empty-solution-set",
+        (),
+    )
+    assert oracle_solve(system) == set()
 
 
 def test_slow_runs_bound_themselves():
