@@ -16,8 +16,9 @@ A round is first-order, the paper's x <- P(W x), or second-order, an
 extension of the paper: heavy-ball consensus (Oreshkin, Coates and
 Rabbat, IEEE TSP 2010), x(t+1) = omega P(W x(t)) + (1 - omega) x(t-1),
 each node also keeping its own last state.  ``run_to_convergence``
-finishes each run second-order, at the optimal stationary omega (Golub
-and Varga 1961) for the rate its shifts read.  The limits are the
+steps a batch of runs as one network run, with one switch and one stop,
+and finishes it second-order, at the optimal stationary omega (Golub and
+Varga 1961) for the rate the batch's shifts read.  The limits are the
 paper's: with a round x <- M x + c, M = blockdiag(I - h_i^+ h_i)
 (W kron I), a convergent run has u^T c = 0 for any u^T M = u^T, so both
 recursions keep u^T x once x(t) and x(t-1) share it, as a first-order
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,15 +40,13 @@ from .matricization import LiftedSystem
 
 __all__ = ["Graph", "build_weights", "consensus", "run_to_convergence"]
 
-# sup shift below which ``run_to_convergence`` switches a run to
-# second-order rounds: the run is then in its slowest modes, so a node's
-# ratio of its last two shifts is its contraction rate
+# sup shift below which ``run_to_convergence`` switches a batch to
+# second-order rounds: the runs are then in their slowest modes, so the
+# ratio of the last two sup shifts is their contraction rate
 SECOND_ORDER_BELOW = 1e-4
-# rounds ``run_to_convergence`` takes at once from a loud batch, testing
-# only the last one's shift, and that test's relative margin for the
-# rounding a block adds to the shifts
+# rounds ``run_to_convergence`` takes at once, reading their sup shifts in
+# one reduction
 BLOCK = 8
-LOUD_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,7 @@ def consensus(
     own affine solution set by y - h^+ (h y - z), for all nodes at once as
     batched products on the lift's stacked arrays, whose index i is node
     i's equation.  With ``eqs`` None the round is plain averaging.  With
-    ``omega`` given, one weight per run (a number for one run), the round
+    ``omega`` given, one weight per run or one number for all, the round
     is second-order, x(t+1) <- omega P(W x(t)) + (1 - omega) x(t-1), from
     ``previous``, the states one round before ``states``; omega = 1 is the
     first-order round bit for bit, as 1 y + 0 x = y.  The k runs live in
@@ -212,49 +211,36 @@ def run_to_convergence(
     tol: float,
     max_rounds: int,
 ) -> tuple[np.ndarray, list[int], list[bool]]:
-    """Run ``consensus(w, states, eqs)`` until each run converges, or for
+    """Run ``consensus(w, states, eqs)`` until the runs converge, or for
     ``max_rounds``.  ``states`` is one run's (n, d) array or a batch of k
-    runs as (k, n, d) that step together, each run to its own stop round.
-    Returns (final states, shaped like ``states``, each run's rounds used,
-    whether each run converged), the last two as lists of k ``int`` and
-    ``bool``, one entry for one run's (n, d) states.
+    runs as (k, n, d), which step as one network run: one switch, one
+    omega and one stop for the whole batch.  Returns (final states, shaped
+    like ``states`` and C-contiguous, the rounds used, whether the batch
+    converged), the last two as lists of k equal ``int`` and ``bool``
+    entries, one entry for one run's (n, d) states.
 
-    One stop per run: the first round whose sup shift s(t), the largest
-    per-node state change in the run, is below ``tol``.  Each run starts
-    first-order.  From round 2 on, a first-order run with s(t) below
-    ``SECOND_ORDER_BELOW``, in its slowest modes, reads its rate as rho =
-    s(t) / s(t-1) and steps second-order from the next round on, at
-    omega = 2 / (1 + sqrt(1 - rho^2)); a ratio not below 1 waits a round.
-    Its slow modes then contract at r = sqrt(omega - 1) < rho, so a
-    stopped run lies within about s(t) r / (1 - r) of its limit.  The
-    largest of the nodes' own ratios would overshoot rho where faster
-    modes cancel in a node's shift: corpus runs rang and stopped up to
-    1.4e-8 from their limits, against 4.6e-9.  In a network s(t) is a
-    max-flood of the nodes' own sup shifts and the stop an AND of their
-    bits; like the solvers' certificate, the simulation reads both
-    directly.  A run cut by ``max_rounds`` returns its state then.  A run
-    that stops or switches restarts ``consensus`` from the running runs'
-    current and previous states, so each run's rounds are those it would
-    take alone (batched products may round a last bit differently).
+    A round's sup shift s(t) is the largest state change over the runs,
+    nodes and coordinates; in a network it is a max-flood of one number per
+    node, which the simulation reads directly, as it does the certificate's
+    AND.  The batch stops in the first round whose s(t) is below ``tol``,
+    or at ``max_rounds`` with its state then.  It starts first-order.  From
+    round 2 on, a first-order round with s(t) below ``SECOND_ORDER_BELOW``,
+    where the runs are in their slowest modes, and below s(t - 1) reads
+    the rate rho = s(t) / s(t - 1), and the batch steps second-order from
+    the next round on, at omega = 2 / (1 + sqrt(1 - rho^2)); a ratio not
+    below 1 waits a round.  The runs share the network and its projectors,
+    so they share the slowest rate, and their slow modes then contract at
+    r = sqrt(omega - 1) < rho: a stopped run lies within about
+    s(t) r / (1 - r) of its limit.  The largest of the nodes' own ratios
+    would overshoot rho where faster modes cancel in a node's shift:
+    corpus runs rang and stopped up to 1.4e-8 from their limits, where
+    the batch's ratio leaves every corpus run within 2.1e-9 of them.
 
-    While every run is first-order, a round is loud when every run's sup
-    shift is at least quiet = max(tol, ``SECOND_ORDER_BELOW``), so that no
-    run stops or switches.  Unless a failed block is being replayed or
-    ``max_rounds`` falls within the next ``BLOCK`` rounds, the loop then
-    takes ``BLOCK`` rounds at once and tests only the last shift: if every
-    run's 2-norm shift is at least sqrt(n d) quiet (1 + ``LOUD_MARGIN``),
-    every round of the block was loud, since each first-order round's
-    shift is the last one's times M, the affine offsets cancelling, with
-    ||M||_2 <= ||w||_2 <= 1, and a sup norm is at least the 2-norm over
-    sqrt(n d).  A second-order round's map, a companion matrix, is not
-    normal and may grow a shift, so no block is taken once a run has
-    switched.  The margin, at least 1e-12 absolute, is about 100 times the
-    rounding a block adds to the shifts of states of order one, as the
-    solvers' are; for a ``w`` with ||w||_2 above 1 + 1e-12, which no
-    ``build_weights`` matrix has, the loop takes no block.  A failed block
-    is replayed round by round, and a run that stops or switches inside
-    it drops the rest, so the results are the per-round loop's, bit for
-    bit.
+    The loop takes ``BLOCK`` rounds at once from ``consensus``, none past
+    ``max_rounds``, and reads every round's sup shift in one reduction over
+    the stacked states.  It acts at the first round that stops or switches
+    the batch and drops the rest of the block, so the results are those of
+    a loop that checks every round, bit for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -264,64 +250,22 @@ def run_to_convergence(
     prev = np.asarray(states, dtype=float)
     if single:
         prev = prev[None]  # one run is the batch of one
-    k = len(prev)
-    final = np.empty_like(prev)
-    rounds, converged = [0] * k, [False] * k
-    # per running run: its index in ``states`` and its omega, 1 while it is
-    # first-order.  Per-run scalars are Python lists: a batch holds a few
-    # dozen runs at most, and a round at d <= 16 is mostly interpreter time
-    active, omega, first_order = list(range(k)), [1.0] * k, True
-    # no run stops or switches above quiet, nor a running run above floor,
-    # which is quiet until every running run has switched, then tol
-    floor = quiet = max(tol, SECOND_ORDER_BELOW)
-    # a block whose last squared 2-norm shift is at least ``loud`` in every
-    # run was loud in every round; with ||w||_2 > 1 a shift may grow
-    loud = prev[0].size * (quiet * (1 + LOUD_MARGIN)) ** 2  # n d per run
-    blocks = np.linalg.norm(w, 2) <= 1 + 1e-12
-    replayed = 0  # the last round of a failed block, which ``runs`` replays
-    largest_of = np.maximum.reduce
     runs = consensus(w, prev, eqs)
-    t, largest = 0, None  # each running run's sup shift in round t
+    t, last, omega = 0, 0.0, None  # round 1 has no ratio
     while True:
-        if first_order and t >= replayed and t + BLOCK < max_rounds and blocks:
-            block = list(islice(runs, BLOCK))
-            shift = block[-1] - block[-2]
-            if min(np.einsum("kij,kij->k", shift, shift).tolist()) >= loud:
-                prev, t = block[-1], t + BLOCK
-                largest = largest_of(np.abs(shift), axis=(1, 2)).tolist()
-                continue
-            runs, replayed = chain(block, runs), t + BLOCK
-        x = next(runs)
-        t += 1
-        last, largest = largest, largest_of(np.abs(x - prev), axis=(1, 2)).tolist()
-        if t < max_rounds and min(largest) >= floor:
-            prev = x
-            continue
-        order = omega
-        if 1.0 in omega:
-            # a first-order run below SECOND_ORDER_BELOW switches at the ratio
-            # of its last two sup shifts if below 1 (round 1 has one shift)
-            order = [
-                2.0 / (1.0 + math.sqrt(1.0 - (s / b) ** 2))
-                if o == 1.0 and s < SECOND_ORDER_BELOW and s < b
-                else o
-                for o, s, b in zip(omega, largest, last or largest)
-            ]
-        going = [j for j, s in enumerate(largest) if s >= tol and t < max_rounds]
-        if len(going) == len(active) and order == omega:
-            prev = x
-            continue
-        for j, s in enumerate(largest):
+        block = np.array([prev, *islice(runs, min(BLOCK, max_rounds - t))])
+        shifts = np.abs(block[1:] - block[:-1]).max(axis=(1, 2, 3)).tolist()
+        for i, s in enumerate(shifts, start=1):
+            t += 1
             if s < tol or t == max_rounds:
-                final[active[j]] = x[j]
-                rounds[active[j]], converged[active[j]] = t, s < tol
-        if not going:
-            break
-        active, omega = [active[j] for j in going], [order[j] for j in going]
-        largest = [largest[j] for j in going]
-        first_order = max(omega) == 1.0  # then no run needs its previous states
-        floor = quiet if 1.0 in omega else tol
-        x = x[going]
-        runs = consensus(w, x, eqs) if first_order else consensus(w, x, eqs, omega, prev[going])
-        prev, replayed = x, t
-    return (final[0] if single else final), rounds, converged
+                # a copy: a view would keep the whole block alive
+                final = block[i, 0] if single else block[i]
+                return final.copy(), [t] * len(prev), [s < tol] * len(prev)
+            if omega is None and s < SECOND_ORDER_BELOW and s < last:
+                omega = 2.0 / (1.0 + math.sqrt(1.0 - (s / last) ** 2))
+                runs = consensus(w, block[i], eqs, omega, block[i - 1])
+                prev, last = block[i], s
+                break
+            last = s
+        else:
+            prev = block[-1]

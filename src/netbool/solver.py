@@ -6,8 +6,8 @@ the consensus outputs.
 Four entry points:
 
 * ``solve_exact``       - run consensus to numerical convergence, as
-  one batch of min(k*, 2^m + 2) runs in which each run stops at its own
-  round, keep the shortest prefix of runs on which every node's hull is
+  one batch of min(k*, 2^m + 2) runs that steps and stops as one network
+  run, keep the shortest prefix of runs on which every node's hull is
   certified complete, search the hull of those solutions (requires a
   satisfiable system);
 * ``solve_approximate`` - consensus truncated to T rounds per run, all
@@ -172,18 +172,18 @@ def distributed_lae(
     (k, n, d) that step together.  With ``eqs`` None the runs are the
     plain network average.
 
-    With ``config.T`` unset, ``run_to_convergence`` iterates each run,
-    first-order and then second-order, until the per-round change of its
-    states drops below ``CONSENSUS_TOL`` (or ``max_rounds``), each run to
-    its own round; with ``T`` set, exactly T first-order rounds of
-    ``consensus`` run.  Returns (final states, shaped and
-    C-contiguous like ``initials``, the rounds summed over the runs,
-    whether every run converged, a last entry): without ``T`` it is the
-    pair of lists (each run's rounds, each run's converged flag), one
-    entry each for one run's (n, d) states; with ``T`` it is the list of
-    each node's sup change over the runs in rounds T - 1 and T, as (n,)
-    arrays, taken between rounds' outputs only, as the pass lets the
-    initials go, so T < 3 gives fewer.
+    With ``config.T`` unset, ``run_to_convergence`` iterates the batch as
+    one network run, first-order and then second-order, until the largest
+    per-round change of its states drops below ``CONSENSUS_TOL`` (or
+    ``max_rounds``), so every run takes the same rounds; with ``T`` set,
+    exactly T first-order rounds of ``consensus`` run.  Returns (final
+    states, shaped and C-contiguous like ``initials``, the rounds summed
+    over the runs, whether every run converged, a last entry): without
+    ``T`` it is the pair of lists (each run's rounds, each run's converged
+    flag), one entry each for one run's (n, d) states; with ``T`` it is
+    the list of each node's sup change over the runs in rounds T - 1 and
+    T, as (n,) arrays, taken between rounds' outputs only, as the pass
+    lets the initials go, so T < 3 gives fewer.
     """
     w = build_weights(graph, config.effective_epsilon(graph.n))
     if config.T is None:
@@ -263,7 +263,7 @@ def _start(
 
 def _certified_runs(
     system: BooleanSystem, graph: Graph, config: RunConfig
-) -> tuple[int, np.ndarray, list[int], bool, list[tuple[AffineSubspace, float | None]]]:
+) -> tuple[int, int, np.ndarray, list[int], bool, list[tuple[AffineSubspace, float | None]]]:
     """The exact modes' convergent runs, until every node's hull is
     certified complete, with k* as the cap.  A run's limits are an affine
     image of its uniform initials, so a new limit adds a direction to a
@@ -273,14 +273,14 @@ def _certified_runs(
     ``RANK_TOL``, and a dimension of at most j - 3, two runs that added no
     direction, certifies it; a hull's dimension is at most 2^m - 1, so
     j = 2^m + 2 always does.  So one ``distributed_lae`` batch of
-    min(k*, 2^m + 2) runs, each to its own round, holds every prefix a
-    check asks for; the runs past the certified prefix are dropped.  The
-    stop is the AND of the nodes' bits, which a flood would take at most
-    the diameter in rounds to spread; the simulation reads the bits
-    directly.  Run j's initials are the stream's j-th (n, 2^m) block.
-    Returns (k*, the certified prefix's states as (runs, n, 2^m), its
-    per-run rounds, whether all of them converged, the last check's
-    fits)."""
+    min(k*, 2^m + 2) runs, stepped and stopped as one network run, holds
+    every prefix a check asks for; the runs past the certified prefix are
+    stepped to the batch's stop and dropped.  The certificate is the AND
+    of the nodes' bits, which a flood would take at most the diameter in
+    rounds to spread; the simulation reads the bits directly.  Run j's
+    initials are the stream's j-th (n, 2^m) block.  Returns (k*, the batch
+    size, the certified prefix's states as (runs, n, 2^m), its per-run
+    rounds, whether all of them converged, the last check's fits)."""
     k, eqs, stream = _start(system, graph, config, False)
     n, d = graph.n, 2**system.m
     batch = min(k, d + 2)
@@ -290,7 +290,7 @@ def _certified_runs(
     for j in range(min(max(3, d - n + 2), batch), batch + 1):
         fits = [best_affine_fit(linear[:j, i], RANK_TOL) for i in range(n)]
         if j == batch or all(fit.dim <= j - 3 for fit, _ in fits):
-            return k, linear[:j], rounds[:j], all(converged[:j]), fits
+            return k, batch, linear[:j], rounds[:j], all(converged[:j]), fits
 
 
 @lru_cache(maxsize=4096)
@@ -362,23 +362,26 @@ def solve_exact(
     Runs independent consensus solves of the lifted linear equation to
     convergence (``T`` is refused) from uniform random initial states,
     until every node's hull is certified complete or k* runs are drawn
-    (``_certified_runs``); each node keeps the unit vectors within
-    sqrt(RANK_TOL * 2/sqrt(d)), d = 2^m, of the affine hull of its own
-    outputs (``best_affine_fit`` at rank threshold ``RANK_TOL``, the
-    last certificate check's fit), with no check against
+    (``_certified_runs``).  The runs step as one batch with one stop, so
+    ``rounds`` repeats the rounds the network stepped for each kept run,
+    and ``runs_stepped`` counts the batch, dropped runs included: a node
+    sends ``runs_stepped`` * 2^m numbers a round.  Each node keeps the
+    unit vectors within sqrt(RANK_TOL * 2/sqrt(d)), d = 2^m, of the affine
+    hull of its own outputs (``best_affine_fit`` at rank threshold
+    ``RANK_TOL``, the last certificate check's fit), with no check against
     the system: on a consistent lift solutions lie within RANK_TOL of
     every hull, and the lift puts every non-solution 2/sqrt(d) or more away.
     A run that hits ``max_rounds`` leaves the outcome undecided.
     """
     config = config or RunConfig()
-    k, linear, rounds, converged, fits = _certified_runs(system, graph, config)
+    k, stepped, linear, rounds, converged, fits = _certified_runs(system, graph, config)
     return _search_outcome(
         "solve",
         fits,
         [math.sqrt(RANK_TOL * 2.0 / math.sqrt(2**system.m))] * graph.n,
         system.m,
         linear,
-        {"k_star": k, "rounds": rounds, "converged": converged},
+        {"k_star": k, "runs_stepped": stepped, "rounds": rounds, "converged": converged},
         () if converged else ("consensus hit max_rounds (converged is false)",),
     )
 

@@ -348,12 +348,13 @@ def stacked_rank_consistent(
 
 def sequential_certified_runs(
     system: BooleanSystem, graph: Graph, config: RunConfig
-) -> tuple[int, np.ndarray, list[int], bool, list]:
+) -> tuple[int, int, np.ndarray, list[int], bool, list]:
     """Reference for ``solver._certified_runs``, with its arguments and
     results: run j's initials are the stream's j-th (n, 2^m) block,
     stepped alone, and after each run j >= max(3, 2^m - n + 2), or at
     j = k*, every node fits its j limits at ``RANK_TOL``; the runs stop
-    once every fit has dimension at most j - 3."""
+    once every fit has dimension at most j - 3.  The runs stepped are the
+    runs kept."""
     k = config.effective_k_star(system.m)
     eqs, stream = lift_system(system), SplitMix64(config.seed)
     n, d = graph.n, 2**system.m
@@ -367,7 +368,7 @@ def sequential_certified_runs(
             linear = np.stack(limits)
             fits = [best_affine_fit(linear[:, i], RANK_TOL) for i in range(n)]
             if j == k or all(fit.dim <= j - 3 for fit, _ in fits):
-                return k, linear, rounds, converged, fits
+                return k, j, linear, rounds, converged, fits
     raise ValueError(f"k_star must be >= 1, got {k}")
 
 
@@ -379,15 +380,15 @@ def per_round_convergence(
     max_rounds: int,
 ) -> tuple[np.ndarray, list[int], list[bool]]:
     """Reference for ``network.run_to_convergence``, with its arguments and
-    results, read one round at a time with no block of rounds skipped.
-    Each run starts first-order and stops in the first round whose sup
-    shift is below ``tol``.  From round 2 on, a first-order run whose sup
-    shift s(t) is below ``SECOND_ORDER_BELOW`` and below s(t - 1) switches
-    to second-order rounds at omega = 2 / (1 + sqrt(1 - rho^2)), rho =
-    s(t) / s(t - 1); a ratio not below 1 waits a round.  Whenever a run
-    stops or switches, ``consensus`` restarts from the running runs'
-    states, with their previous states once one of them is second-order.
-    Its states, rounds and converged flags are the engine's bit for bit."""
+    results, read one round at a time.  The batch steps as one run: a
+    round's sup shift s(t) is the largest change over every run, node and
+    coordinate; the batch stops in the first round with s(t) below
+    ``tol``, or at ``max_rounds``.  From round 2 on, a first-order round
+    with s(t) below ``SECOND_ORDER_BELOW`` and below s(t - 1) switches the
+    whole batch, once, to second-order rounds at omega = 2 / (1 +
+    sqrt(1 - rho^2)), rho = s(t) / s(t - 1); a ratio not below 1 waits a
+    round.  Its states, rounds and converged flags are the engine's bit
+    for bit."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_rounds < 1:
@@ -396,37 +397,31 @@ def per_round_convergence(
     prev = np.asarray(states, dtype=float)
     if single:
         prev = prev[None]  # one run is the batch of one
-    k = len(prev)
-    final = np.empty_like(prev)
-    rounds, converged = [0] * k, [False] * k
-    active, omega, last = list(range(k)), [1.0] * k, [math.inf] * k
-    runs = consensus(w, prev, eqs)
+    runs, omega, last = consensus(w, prev, eqs), None, 0.0
     for t in range(1, max_rounds + 1):
         x = next(runs)
-        shifts = [float(np.abs(x[j] - prev[j]).max()) for j in range(len(active))]
-        going, changed = [], False
-        for j, s in enumerate(shifts):
-            if s < tol or t == max_rounds:
-                final[active[j]] = x[j]
-                rounds[active[j]], converged[active[j]] = t, s < tol
-                continue
-            going.append(j)
-            if omega[j] == 1.0 and t >= 2 and s < SECOND_ORDER_BELOW and s < last[j]:
-                omega[j] = 2.0 / (1.0 + math.sqrt(1.0 - (s / last[j]) ** 2))
-                changed = changed or omega[j] != 1.0
-        if not going:
+        s = float(np.abs(x - prev).max())
+        if s < tol:
             break
-        if len(going) < len(active) or changed:
-            active = [active[j] for j in going]
-            omega = [omega[j] for j in going]
-            shifts = [shifts[j] for j in going]
-            x, prev = x[going], prev[going]
-            if all(o == 1.0 for o in omega):
-                runs = consensus(w, x, eqs)
-            else:
-                runs = consensus(w, x, eqs, omega, prev)
-        prev, last = x, shifts
-    return (final[0] if single else final), rounds, converged
+        if omega is None and s < SECOND_ORDER_BELOW and s < last:
+            omega = 2.0 / (1.0 + math.sqrt(1.0 - (s / last) ** 2))
+            runs = consensus(w, x, eqs, omega, prev)
+        prev, last = x, s
+    final = np.array(x[0] if single else x)
+    return final, [t] * len(x), [s < tol] * len(x)
+
+
+def first_order_limits(
+    w: np.ndarray, states: np.ndarray, eqs: LiftedSystem | None, tol: float = 1e-13
+) -> np.ndarray:
+    """The paper's first-order rounds from ``states``, run on to the first
+    round whose sup shift is below ``tol``: the runs' limits to within
+    about that shift over one minus their rate."""
+    prev = states
+    for x in consensus(w, states, eqs):
+        if np.abs(x - prev).max() < tol:
+            return x
+        prev = x
 
 
 def chi0(system: BooleanSystem) -> int:

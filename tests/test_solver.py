@@ -16,6 +16,7 @@ from conftest import (
     EX2_MATRICES,
     central_projected_average,
     chi0,
+    first_order_limits,
     node_equations,
     oracle_bruteforce,
     path_graph,
@@ -173,8 +174,8 @@ class TestDistributedLAE:
         assert peak < 3.5 * states.nbytes
 
     def test_convergent_runs_step_a_batch(self, ex1, path3):
-        # each run stops at its own round: the rounds come back summed, as
-        # in the T branch, and per run, as ints, beside each run's flag
+        # the batch stops in one round: the rounds come back summed, as in
+        # the T branch, and per run, as ints, beside each run's flag
         initials = np.random.default_rng(6).random((4, 3, 8))
         states, rounds, converged, (per_run, flags) = distributed_lae(
             lift_system(ex1), path3, RunConfig(), initials
@@ -182,7 +183,9 @@ class TestDistributedLAE:
         assert states.shape == (4, 3, 8) and states.flags.c_contiguous
         assert converged is True and len(per_run) == 4 and flags == [True] * 4
         assert all(type(r) is int for r in per_run) and rounds == sum(per_run)
-        assert len(set(per_run)) > 1
+        assert per_run == per_run[:1] * 4
+        w = build_weights(path3, 0.3)
+        assert np.abs(states - first_order_limits(w, initials, lift_system(ex1))).max() < 1e-9
         for run, start in zip(states, initials):
             single, *_ = distributed_lae(lift_system(ex1), path3, RunConfig(), start)
             assert np.abs(run - single).max() < 1e-9
@@ -409,6 +412,18 @@ class TestVerifySatisfiability:
         assert outcome.verdict == "satisfiable"
         assert outcome.stage == "solved"
         assert set(outcome.solutions) == oracle_solve(ex1)
+
+    def test_runs_stepped_counts_stage_two_batch(self, ex1, ex3, path3):
+        # stage two's one batch of min(k*, 2^m + 2) = 9 runs, dropped runs
+        # included; stage one steps one run per network run and reports
+        # only its rounds
+        config = RunConfig(seed=1, epsilon=0.2)
+        solved = verify_satisfiability(ex1, path3, config)
+        assert solved.diagnostics["runs_stepped"] == 9
+        assert len(solved.diagnostics["rounds"]) <= 9
+        disagreeing = verify_satisfiability(ex3, path3, config)
+        assert disagreeing.stage == "consensus-disagreement"
+        assert "runs_stepped" not in disagreeing.diagnostics
 
     def test_verdict_uniform_across_nodes(self, ex1, ex3, ex4, path3):
         for system in (ex1, ex3, ex4):
@@ -816,6 +831,7 @@ class TestCertifiedRuns:
         # dimension 3 certifies at run 6; checks ran after runs 4, 5 and 6
         assert outcome.diagnostics["k_star"] == 9
         assert len(outcome.diagnostics["rounds"]) == 6
+        assert outcome.diagnostics["runs_stepped"] == 9
         assert outcome.undecided == ()
         assert outcome.per_node_solutions == (((1, 0, 0),),) * 6
         # the runs are the first 6 of one distributed_lae batch of all 9:
@@ -857,8 +873,9 @@ class TestCertifiedRuns:
         assert wide.diagnostics["k_star"] == 40
         assert np.array_equal(wide.linear_solutions, capped.linear_solutions)
         assert wide.per_node_solutions == capped.per_node_solutions == (EX1_SOLUTIONS,) * 3
-        for key in ("rounds", "converged", "rank_gaps"):
+        for key in ("runs_stepped", "rounds", "converged", "rank_gaps"):
             assert wide.diagnostics[key] == capped.diagnostics[key]
+        assert wide.diagnostics["runs_stepped"] == 10
 
     @pytest.fixture
     def exact_small(self, monkeypatch):
@@ -867,8 +884,9 @@ class TestCertifiedRuns:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_batch_matches_runs_drawn_one_at_a_time(self, monkeypatch, exact_small, seed):
-        # the batch's certified prefix is the one the sequential draw
-        # stops at, up to batch rounding of a run's last bits
+        # the batch's certified prefix is the one the sequential draw stops
+        # at, with the same node sets; the batch stops in one round, and
+        # both draws' runs lie within 1e-8 of their first-order limits
         for doc in exact_small.generate(seed):
             system = BooleanSystem.from_texts(
                 doc["m"], [(e["formula"], e["rhs"]) for e in doc["equations"]]
@@ -880,9 +898,14 @@ class TestCertifiedRuns:
                 patch.setattr(solver, "_certified_runs", sequential_certified_runs)
                 sequential = solve_exact(system, graph, config)
             assert batched.linear_solutions.shape == sequential.linear_solutions.shape
-            assert np.abs(batched.linear_solutions - sequential.linear_solutions).max() < 1e-9
-            pairs = zip(batched.diagnostics["rounds"], sequential.diagnostics["rounds"])
-            assert all(abs(a - b) <= 1 for a, b in pairs)
+            n, d = graph.n, 2**system.m
+            initials = SplitMix64(config.seed).random((len(batched.linear_solutions), n, d))
+            w = build_weights(graph, config.effective_epsilon(n))
+            limits = first_order_limits(w, initials, lift_system(system))
+            for outcome in (batched, sequential):
+                assert np.abs(outcome.linear_solutions - limits).max() < 1e-8
+            rounds = batched.diagnostics["rounds"]
+            assert rounds == rounds[:1] * len(rounds)
             assert batched.per_node_solutions == sequential.per_node_solutions
             assert batched.undecided == sequential.undecided == ()
 
