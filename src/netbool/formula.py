@@ -301,7 +301,3 @@ class BooleanSystem:
     def from_texts(cls, m: int, equations: Sequence[tuple[str, int]]) -> "BooleanSystem":
         """Build a system from (formula text, right-hand side) pairs."""
         return cls(m, tuple((parse_formula(text, m), rhs) for text, rhs in equations))
-
-    def satisfies(self, x: Sequence[int]) -> bool:
-        """True when the assignment ``x`` solves every equation."""
-        return all(evaluate(f, x) == rhs for f, rhs in self.equations)

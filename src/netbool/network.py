@@ -16,14 +16,17 @@ A round is first-order, the paper's x <- P(W x), or second-order, an
 extension of the paper: heavy-ball consensus (Oreshkin, Coates and
 Rabbat, IEEE TSP 2010), x(t+1) = omega P(W x(t)) + (1 - omega) x(t-1),
 each node also keeping its own last state.  ``run_to_convergence``
-steps a batch of runs as one network run, with one switch and one stop,
-and finishes it second-order, at the optimal stationary omega (Golub and
-Varga 1961) for the rate the batch's shifts read.  The limits are the
-paper's: with a round x <- M x + c, M = blockdiag(I - h_i^+ h_i)
-(W kron I), a convergent run has u^T c = 0 for any u^T M = u^T, so both
-recursions keep u^T x once x(t) and x(t-1) share it, as a first-order
-round leaves them; from round 2 on both, and so any affine combination
-of them, lie in each node's own solution set.
+steps a batch of runs as one network run, with one stop.  Once the rate
+its shifts read over two windows has settled, it steps second-order at
+the optimal stationary omega (Golub and Varga 1961) for that rate, and
+re-reads the rate if a real root shows that omega came from a faster
+mode; a second-order batch stops only after a block of quiet rounds,
+since its complex modes ring.  The limits are the paper's: with a round
+x <- M x + c, M = blockdiag(I - h_i^+ h_i) (W kron I), a convergent run
+has u^T c = 0 for any u^T M = u^T, so both recursions keep u^T x once
+x(t) and x(t-1) share it, as a first-order round leaves them; from round
+2 on both, and so any affine combination of them, lie in each node's own
+solution set.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from .matricization import LiftedSystem
 
 __all__ = ["Graph", "build_weights", "consensus", "run_to_convergence"]
 
-# sup shift below which ``run_to_convergence`` switches a batch to
-# second-order rounds: the runs are then in their slowest modes, so the
-# ratio of the last two sup shifts is their contraction rate
-SECOND_ORDER_BELOW = 1e-4
+# relative agreement, in units of 1 - m, at which two windows' rates m
+# have settled in ``run_to_convergence``, and the least cut of 1 - rho for
+# which a re-read restarts it
+SETTLED = 0.1
 # rounds ``run_to_convergence`` takes at once, reading their sup shifts in
 # one reduction
 BLOCK = 8
@@ -213,34 +216,45 @@ def run_to_convergence(
 ) -> tuple[np.ndarray, list[int], list[bool]]:
     """Run ``consensus(w, states, eqs)`` until the runs converge, or for
     ``max_rounds``.  ``states`` is one run's (n, d) array or a batch of k
-    runs as (k, n, d), which step as one network run: one switch, one
-    omega and one stop for the whole batch.  Returns (final states, shaped
-    like ``states`` and C-contiguous, the rounds used, whether the batch
+    runs as (k, n, d), which step as one network run: one omega and one
+    stop for the whole batch.  Returns (final states, shaped like
+    ``states`` and C-contiguous, the rounds used, whether the batch
     converged), the last two as lists of k equal ``int`` and ``bool``
     entries, one entry for one run's (n, d) states.
 
     A round's sup shift s(t) is the largest state change over the runs,
     nodes and coordinates; in a network it is a max-flood of one number per
     node, which the simulation reads directly, as it does the certificate's
-    AND.  The batch stops in the first round whose s(t) is below ``tol``,
-    or at ``max_rounds`` with its state then.  It starts first-order.  From
-    round 2 on, a first-order round with s(t) below ``SECOND_ORDER_BELOW``,
-    where the runs are in their slowest modes, and below s(t - 1) reads
-    the rate rho = s(t) / s(t - 1), and the batch steps second-order from
-    the next round on, at omega = 2 / (1 + sqrt(1 - rho^2)); a ratio not
-    below 1 waits a round.  The runs share the network and its projectors,
-    so they share the slowest rate, and their slow modes then contract at
-    r = sqrt(omega - 1) < rho: a stopped run lies within about
-    s(t) r / (1 - r) of its limit.  The largest of the nodes' own ratios
-    would overshoot rho where faster modes cancel in a node's shift:
-    corpus runs rang and stopped up to 1.4e-8 from their limits, where
-    the batch's ratio leaves every corpus run within 2.1e-9 of them.
+    AND.  The batch starts first-order.  At each block end it reads its
+    rate over the last window of 2 ``BLOCK`` rounds, m = (s(t) /
+    s(t - 2 BLOCK))^(1 / (2 BLOCK)), and over the window before that; the
+    rate has settled when the two agree within ``SETTLED`` (1 - m), with
+    m < 1 and no zero shift at a window's start (``_settled_rate``).  A
+    settled first-order rate is the slowest mode's rho, and the batch
+    steps second-order from the next round on, at omega = 2 / (1 +
+    sqrt(1 - rho^2)).  The runs share the network and its projectors, so
+    they share that rate, and their slow modes then contract at
+    r = sqrt(omega - 1) < rho, as complex roots.  A settled second-order
+    rate m above r shows a real root instead: omega was read from a faster
+    mode, whose roots r solve r^2 = omega rho r - (omega - 1).  So the
+    batch re-reads rho = (m^2 + omega - 1) / (omega m), and restarts
+    second-order at that rho's omega when it cuts 1 - rho by at least the
+    fraction ``SETTLED``.  The windows after a (re)start at round t begin
+    at s(t).
+
+    A first-order batch stops in the first round whose s(t) is below
+    ``tol``.  A second-order one stops once its last ``BLOCK`` sup shifts
+    are all below ``tol``: complex modes ring, so one shift can dip below
+    ``tol`` on the way through zero while the states are still far from
+    their limits.  Either way it stops at ``max_rounds``, with its state
+    then, unconverged.
 
     The loop takes ``BLOCK`` rounds at once from ``consensus``, none past
     ``max_rounds``, and reads every round's sup shift in one reduction over
-    the stacked states.  It acts at the first round that stops or switches
-    the batch and drops the rest of the block, so the results are those of
-    a loop that checks every round, bit for bit.
+    the stacked states.  It stops at the first round that meets the stop
+    rule and drops the rest of the block, and it reads rates and restarts
+    only at block ends, so the results are those of a loop that checks
+    every round, bit for bit.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -251,21 +265,48 @@ def run_to_convergence(
     if single:
         prev = prev[None]  # one run is the batch of one
     runs = consensus(w, prev, eqs)
-    t, last, omega = 0, 0.0, None  # round 1 has no ratio
+    # need: the quiet rounds, with s(t) below tol, that stop the batch
+    t, quiet, need, rho, omega, shifts = 0, 0, 1, None, None, []
     while True:
         block = np.array([prev, *islice(runs, min(BLOCK, max_rounds - t))])
-        shifts = np.abs(block[1:] - block[:-1]).max(axis=(1, 2, 3)).tolist()
-        for i, s in enumerate(shifts, start=1):
+        read = np.abs(block[1:] - block[:-1]).max(axis=(1, 2, 3)).tolist()
+        for i, s in enumerate(read, start=1):
             t += 1
-            if s < tol or t == max_rounds:
+            quiet = quiet + 1 if s < tol else 0
+            if quiet == need or t == max_rounds:
                 # a copy: a view would keep the whole block alive
                 final = block[i, 0] if single else block[i]
-                return final.copy(), [t] * len(prev), [s < tol] * len(prev)
-            if omega is None and s < SECOND_ORDER_BELOW and s < last:
-                omega = 2.0 / (1.0 + math.sqrt(1.0 - (s / last) ** 2))
-                runs = consensus(w, block[i], eqs, omega, block[i - 1])
-                prev, last = block[i], s
-                break
-            last = s
-        else:
-            prev = block[-1]
+                return final.copy(), [t] * len(prev), [quiet == need] * len(prev)
+        prev = block[-1]
+        shifts += read
+        rate = _settled_rate(shifts)
+        if rate is None:
+            continue
+        if omega is not None:  # a real root, if any, read back to rho
+            if rate <= math.sqrt(omega - 1.0):
+                continue
+            rate = (rate * rate + omega - 1.0) / (omega * rate)
+            if 1.0 - rate > (1.0 - SETTLED) * (1.0 - rho):
+                continue
+        rho, need = rate, BLOCK
+        omega = 2.0 / (1.0 + math.sqrt(1.0 - rho * rho))
+        runs = consensus(w, block[-1], eqs, omega, block[-2])
+        shifts = shifts[-1:]  # the new phase's windows start at round t
+
+
+def _settled_rate(shifts: list[float]) -> float | None:
+    """The rate m = (s(t) / s(t - W))^(1 / W) of the last window of
+    W = 2 ``BLOCK`` sup shifts, if it has settled: m < 1, and the window
+    before, from s(t - 2 W) to s(t - W), read the same within ``SETTLED``
+    (1 - m).  None while there are fewer than 2 W + 1 shifts, or when a
+    window starts at a zero shift, which reads no rate."""
+    window = 2 * BLOCK
+    if len(shifts) <= 2 * window:
+        return None
+    first, middle, last = shifts[-1 - 2 * window], shifts[-1 - window], shifts[-1]
+    if first <= 0.0 or middle <= 0.0:
+        return None
+    m = (last / middle) ** (1.0 / window)
+    if m >= 1.0 or abs(m - (middle / first) ** (1.0 / window)) > SETTLED * (1.0 - m):
+        return None
+    return m

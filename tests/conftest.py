@@ -2,11 +2,13 @@
 sample data, path and complete graphs, seeded random generators for
 systems, formulas and graphs, and the centralised references that tests
 compare the distributed solvers against (dense unit vectors, the
-assignment-by-assignment oracle, general linear equations with an SVD
-pseudoinverse, single-vector projection, echelon rank, stacked
-equations, consensus value, stacked-rank consistency, image cardinality,
-unit-vector search, fixed-dimension fit, the truncated-mode dimension
-scan and the exact modes' certified runs drawn one at a time)."""
+whole-system check of one assignment, the assignment-by-assignment
+oracle, general linear equations with an SVD pseudoinverse,
+single-vector projection, echelon rank, stacked equations, consensus
+value, stacked-rank consistency, image cardinality, unit-vector search,
+fixed-dimension fit, the truncated-mode dimension scan, the exact modes'
+certified runs drawn one at a time and the convergent runs' per-round
+loop)."""
 
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from netbool.formula import (
 )
 from netbool.linalg import AffineSubspace, best_affine_fit, dist_to_affine
 from netbool.matricization import LiftedSystem, itob, lift_system
-from netbool.network import SECOND_ORDER_BELOW, Graph, consensus
+from netbool.network import BLOCK, SETTLED, Graph, consensus
 from netbool.solver import RANK_TOL, RunConfig, SplitMix64, distributed_lae
 
 settings.register_profile(
@@ -192,13 +194,18 @@ def unit_vector(i: int, dim: int) -> np.ndarray:
     return e
 
 
+def satisfies(system: BooleanSystem, x: Sequence[int]) -> bool:
+    """True when the assignment ``x`` solves every equation of ``system``."""
+    return all(evaluate(f, x) == rhs for f, rhs in system.equations)
+
+
 def oracle_bruteforce(system: BooleanSystem) -> set[tuple[int, ...]]:
     """Reference of ``oracle_solve``: every assignment in turn, kept when
-    ``BooleanSystem.satisfies`` holds there."""
+    ``satisfies`` holds there."""
     return {
         x
         for i in range(1, 2**system.m + 1)
-        if system.satisfies(x := tuple(itob(i, system.m)))
+        if satisfies(system, x := tuple(itob(i, system.m)))
     }
 
 
@@ -382,13 +389,18 @@ def per_round_convergence(
     """Reference for ``network.run_to_convergence``, with its arguments and
     results, read one round at a time.  The batch steps as one run: a
     round's sup shift s(t) is the largest change over every run, node and
-    coordinate; the batch stops in the first round with s(t) below
-    ``tol``, or at ``max_rounds``.  From round 2 on, a first-order round
-    with s(t) below ``SECOND_ORDER_BELOW`` and below s(t - 1) switches the
-    whole batch, once, to second-order rounds at omega = 2 / (1 +
-    sqrt(1 - rho^2)), rho = s(t) / s(t - 1); a ratio not below 1 waits a
-    round.  Its states, rounds and converged flags are the engine's bit
-    for bit."""
+    coordinate.  A first-order batch stops in the first round with s(t)
+    below ``tol``, a second-order one once its last ``BLOCK`` shifts are
+    below it, and either at ``max_rounds``.  Every ``BLOCK`` rounds the
+    batch reads m = (s(t) / s(t - W))^(1 / W), W = 2 ``BLOCK``, from the
+    shifts since its last (re)start, that round's own included, and m0 the
+    same one window back; m has settled when m < 1, s(t - W) and
+    s(t - 2 W) are nonzero, and |m - m0| <= ``SETTLED`` (1 - m).  A
+    settled first-order m is rho; a settled second-order m above
+    sqrt(omega - 1) reads rho' = (m^2 + omega - 1) / (omega m), taken
+    when 1 - rho' <= (1 - ``SETTLED``) (1 - rho).  A new rho restarts the
+    batch second-order at omega = 2 / (1 + sqrt(1 - rho^2)).  Its states,
+    rounds and converged flags are the engine's bit for bit."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_rounds < 1:
@@ -397,18 +409,38 @@ def per_round_convergence(
     prev = np.asarray(states, dtype=float)
     if single:
         prev = prev[None]  # one run is the batch of one
-    runs, omega, last = consensus(w, prev, eqs), None, 0.0
+    runs, shifts, omega, rho, quiet = consensus(w, prev, eqs), [], None, None, 0
     for t in range(1, max_rounds + 1):
         x = next(runs)
-        s = float(np.abs(x - prev).max())
-        if s < tol:
+        shifts.append(s := float(np.abs(x - prev).max()))
+        quiet = quiet + 1 if s < tol else 0
+        if quiet == (1 if omega is None else BLOCK):
             break
-        if omega is None and s < SECOND_ORDER_BELOW and s < last:
-            omega = 2.0 / (1.0 + math.sqrt(1.0 - (s / last) ** 2))
-            runs = consensus(w, x, eqs, omega, prev)
-        prev, last = x, s
+        if t % BLOCK == 0 and (new := restart_rate(shifts, omega, rho)) is not None:
+            rho, omega = new, 2.0 / (1.0 + math.sqrt(1.0 - new * new))
+            runs, shifts = consensus(w, x, eqs, omega, prev), [s]
+        prev = x
     final = np.array(x[0] if single else x)
-    return final, [t] * len(x), [s < tol] * len(x)
+    done = quiet == (1 if omega is None else BLOCK)
+    return final, [t] * len(x), [done] * len(x)
+
+
+def restart_rate(shifts: list[float], omega: float | None, rho: float | None) -> float | None:
+    """The rho ``per_round_convergence`` restarts at after these shifts
+    since its last (re)start, or None."""
+    window = 2 * BLOCK
+    if len(shifts) <= 2 * window or not shifts[-1 - 2 * window] > 0 < shifts[-1 - window]:
+        return None
+    m = (shifts[-1] / shifts[-1 - window]) ** (1.0 / window)
+    m0 = (shifts[-1 - window] / shifts[-1 - 2 * window]) ** (1.0 / window)
+    if m >= 1.0 or abs(m - m0) > SETTLED * (1.0 - m):
+        return None
+    if omega is None:
+        return m
+    if m <= math.sqrt(omega - 1.0):
+        return None
+    m = (m * m + omega - 1.0) / (omega * m)
+    return m if 1.0 - m <= (1.0 - SETTLED) * (1.0 - rho) else None
 
 
 def first_order_limits(

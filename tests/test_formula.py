@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import formula_strategy, random_formula
+from conftest import formula_strategy, random_formula, satisfies
 from netbool.formula import (
     And,
     BooleanSystem,
@@ -274,8 +274,8 @@ class TestBooleanSystem:
     def test_construction(self, ex1):
         assert ex1.n == 3
         assert ex1.m == 3
-        assert ex1.satisfies([0, 0, 0])
-        assert not ex1.satisfies([0, 0, 1])
+        assert satisfies(ex1, [0, 0, 0])
+        assert not satisfies(ex1, [0, 0, 1])
 
     def test_rejects_out_of_range_variable(self):
         with pytest.raises(ValueError, match="x3"):

@@ -27,7 +27,7 @@ from netbool.formula import BooleanSystem
 from netbool.matricization import lift_system
 from netbool.network import (
     BLOCK,
-    SECOND_ORDER_BELOW,
+    SETTLED,
     Graph,
     build_weights,
     consensus,
@@ -327,38 +327,48 @@ class TestProjectionWorkspace:
             assert np.array_equal(state, copy)
 
 
-def switched_rounds(w, initials, eqs, count):
-    """The first ``count`` rounds of one run or batch under
-    ``run_to_convergence``'s rule, replayed on ``consensus``: first-order
-    until the first round t >= 2 whose sup shift s(t) is below
-    ``SECOND_ORDER_BELOW`` and below s(t - 1), then second-order at
-    omega = 2 / (1 + sqrt(1 - rho^2)), rho = s(t) / s(t - 1).  Returns
-    (the states, the switch round, omega), the last two None if the run
-    does not switch."""
-    states, shifts, switch, omega = [initials], [], None, None
-    runs = consensus(w, initials, eqs)
-    for t in range(1, count + 1):
-        states.append(next(runs))
-        shifts.append(np.abs(states[-1] - states[-2]).max())
-        if switch is None and t >= 2 and shifts[-1] < min(SECOND_ORDER_BELOW, shifts[-2]):
-            switch, omega = t, 2 / (1 + math.sqrt(1 - (shifts[-1] / shifts[-2]) ** 2))
-            runs = consensus(w, states[-1], eqs, omega, states[-2])
-    return states[1:], switch, omega
-
-
 def record_restarts(monkeypatch):
-    """Records (omega, states, previous states) for each second-order
-    ``consensus`` that ``run_to_convergence`` starts."""
-    calls = []
+    """Records (round, omega, states, previous states) for each
+    second-order ``consensus`` that ``run_to_convergence`` starts, where
+    round is the one whose states it starts from."""
+    calls, stepped = [], [0]
     plain = network.consensus
 
     def recording(w, states, eqs=None, omega=None, previous=None):
         if omega is not None:
-            calls.append((np.ravel(omega).tolist(), np.copy(states), np.copy(previous)))
-        return plain(w, states, eqs, omega, previous)
+            calls.append((stepped[0], float(omega), np.copy(states), np.copy(previous)))
+        for x in plain(w, states, eqs, omega, previous):
+            stepped[0] += 1
+            yield x
 
     monkeypatch.setattr(network, "consensus", recording)
     return calls
+
+
+def replayed(w, initials, eqs, restarts, count):
+    """The states of rounds 1..count and their sup shifts s(1)..s(count),
+    replayed on ``consensus``: first-order from ``initials``, and after
+    round t, for each (t, omega, ...) in ``restarts``, second-order at
+    omega from the replay's own states of rounds t and t - 1."""
+    states, at = [np.asarray(initials, dtype=float)], {r[0]: r[1] for r in restarts}
+    runs = consensus(w, states[0], eqs)
+    for t in range(1, count + 1):
+        states.append(next(runs))
+        if t in at:
+            runs = consensus(w, states[-1], eqs, at[t], states[-2])
+    return states[1:], [float(np.abs(b - a).max()) for a, b in zip(states, states[1:])]
+
+
+def window_rates(shifts, t):
+    """(m, m0): the rates of the windows of 2 ``BLOCK`` shifts ending at
+    round t and one window before, from s(1), s(2), ... in ``shifts``."""
+    window = 2 * BLOCK
+    s = [None, *shifts]  # s[u] is s(u)
+    return (s[t] / s[t - window]) ** (1 / window), (s[t - window] / s[t - 2 * window]) ** (1 / window)
+
+
+def settled(m, m0):
+    return m < 1 and abs(m - m0) <= SETTLED * (1 - m)
 
 
 class TestRunToConvergence:
@@ -441,31 +451,37 @@ class TestRunToConvergence:
         residual = eqs.h @ states[:, :, None] - eqs.z
         assert np.abs(residual).max() < 1e-12
 
-    def test_capped_run_returns_the_plain_state(self, ex1, path3):
+    def test_capped_run_returns_the_plain_state(self, ex1, path3, monkeypatch):
         eqs = lift_system(ex1)
         w = build_weights(path3, 0.3)
         initials = np.random.default_rng(8).random((3, 8))
+        calls = record_restarts(monkeypatch)
         _, (rounds,), _ = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+        restarts = list(calls)
         # a cap inside the second-order rounds, just before the stop: the
-        # run returns its state in that round, unextrapolated
+        # round's shift is below tol, but the quiet block is one round
+        # short, so the run returns its state in that round, unconverged
         states, (capped,), (converged,) = run_to_convergence(w, initials, eqs, 1e-10, rounds - 1)
         assert capped == rounds - 1 and not converged
-        replay, switch, _ = switched_rounds(w, initials, eqs, rounds - 1)
-        assert switch < rounds - 1
+        replay, shifts = replayed(w, initials, eqs, restarts, rounds - 1)
+        assert restarts[-1][0] < rounds - 1 and shifts[-1] < 1e-10
         assert np.array_equal(states, replay[-1])
 
-    def test_omega_from_the_last_two_sup_shifts(self, ex1, path3, monkeypatch):
-        # one restart, at the switch, with omega read from the run's sup
-        # shifts in that round and the one before
+    def test_omega_from_the_first_settled_window(self, ex1, path3, monkeypatch):
+        # the run switches at the first block end whose last two windows of
+        # 2 BLOCK sup shifts read rates within SETTLED (1 - m) of each
+        # other, at omega = 2 / (1 + sqrt(1 - m^2)) from the later one
         eqs = lift_system(ex1)
         w = build_weights(path3, 0.3)
         initials = np.random.default_rng(8).random((3, 8))
         calls = record_restarts(monkeypatch)
         states, (rounds,), (converged,) = run_to_convergence(w, initials, eqs, 1e-10, 5000)
-        replay, switch, omega = switched_rounds(w, initials, eqs, rounds)
-        assert converged and 1 < omega < 2
-        [(omegas, current, previous)] = calls
-        assert omegas == [omega]
+        replay, shifts = replayed(w, initials, eqs, calls, rounds)
+        (switch, omega, current, previous), *_ = calls
+        ends = range(4 * BLOCK + BLOCK, switch + 1, BLOCK)  # block ends with two windows
+        assert [t for t in ends if settled(*window_rates(shifts, t))] == [switch]
+        m, _ = window_rates(shifts, switch)
+        assert converged and omega == 2 / (1 + math.sqrt(1 - m**2)) and 1 < omega < 2
         # one run steps as the batch of one
         assert np.array_equal(current, [replay[switch - 1]])
         assert np.array_equal(previous, [replay[switch - 2]])
@@ -479,33 +495,55 @@ class TestRunToConvergence:
         initials = np.random.default_rng(6).random((4, 3, 8))
         calls = record_restarts(monkeypatch)
         states, rounds, _ = run_to_convergence(w, initials, eqs, 1e-10, 5000)
-        replay, switch, omega = switched_rounds(w, initials, eqs, rounds[0])
-        [(omegas, current, previous)] = calls
-        assert omegas == [omega] and 1 < omega < 2
+        replay, shifts = replayed(w, initials, eqs, calls, rounds[0])
+        [(switch, omega, current, previous)] = calls
+        m, m0 = window_rates(shifts, switch)
+        assert settled(m, m0) and omega == 2 / (1 + math.sqrt(1 - m**2))
         assert np.array_equal(current, replay[switch - 1])
         assert np.array_equal(previous, replay[switch - 2])
         assert np.array_equal(states, replay[-1])
 
-    def test_a_ratio_not_below_one_waits_a_round(self, ex1, monkeypatch):
-        # ex1 on the path at epsilon 0.1 from seed 8: the sup shift grows in
-        # round 14 and shrinks in round 15.  A run started at round 12's
-        # states, moved 1000-fold nearer their limit, has every shift below
-        # SECOND_ORDER_BELOW, reads a ratio above 1 in round 2, and switches
-        # in round 3
-        eqs = lift_system(ex1)
-        w = build_weights(path_graph(3), 0.1)
-        initials = np.random.default_rng(8).random((3, 8))
-        limit = central_projected_average(eqs, initials)
-        start = limit + 1e-3 * (list(islice(consensus(w, initials, eqs), 12))[-1] - limit)
-        first = list(islice(consensus(w, start, eqs), 3))
-        shifts = [np.abs(b - a).max() for a, b in zip([start, *first], first)]
-        assert max(shifts) < SECOND_ORDER_BELOW
-        assert shifts[0] <= shifts[1] and shifts[2] < shifts[1]
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_rate_not_below_one_never_switches(self, monkeypatch):
+        # w = 1.01 I: every shift grows by 1.01, so the windows agree, at
+        # a rate above 1, which gives no omega
+        w = 1.01 * np.eye(3)
+        initials = np.random.default_rng(8).random((3, 2))
+        _, shifts = replayed(w, initials, None, [], 200)
+        m, m0 = window_rates(shifts, 200)
+        assert abs(m - 1.01) < 1e-12 and abs(m - m0) < 1e-12
         calls = record_restarts(monkeypatch)
-        run_to_convergence(w, start, eqs, 1e-10, 5000)
-        [(omegas, current, previous)] = calls
-        assert omegas == [2 / (1 + math.sqrt(1 - (shifts[2] / shifts[1]) ** 2))]
-        assert np.array_equal(current, [first[2]]) and np.array_equal(previous, [first[1]])
+        _, rounds, converged = run_to_convergence(w, initials, None, 1e-10, 200)
+        assert (rounds, converged, calls) == ([200], [False], [])
+
+    def test_zero_shifts_read_no_rate(self):
+        # a window that starts at a zero shift reads no rate; one that ends
+        # at one reads 0, settled when the window before fell nearly as far
+        window = 2 * BLOCK
+
+        def rate(first, middle, last):
+            return network._settled_rate(
+                [first, *[0.5] * (window - 1), middle, *[0.5] * (window - 1), last]
+            )
+
+        assert rate(0.0, 0.5, 0.25) is None and rate(0.5, 0.0, 0.25) is None
+        assert rate(1.0, 1e-20, 0.0) == 0.0 and rate(1.0, 0.5, 0.0) is None
+        assert network._settled_rate([1.0] * (2 * window)) is None  # one shift short
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_zero_rate_reads_no_real_root(self, ex1, path3, monkeypatch):
+        # a second-order rate of 0, from a zero shift, is below
+        # sqrt(omega - 1): it re-reads nothing, where (m^2 + omega - 1) /
+        # (omega m) would divide by zero
+        eqs = lift_system(ex1)
+        w = build_weights(path3, 0.3)
+        initials = np.random.default_rng(8).random((3, 8))
+        expected = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+        calls, plain = record_restarts(monkeypatch), network._settled_rate
+        monkeypatch.setattr(network, "_settled_rate", lambda s: 0.0 if calls else plain(s))
+        states, rounds, converged = run_to_convergence(w, initials, eqs, 1e-10, 5000)
+        assert len(calls) == 1 and converged == [True]
+        assert np.array_equal(states, expected[0]) and rounds == expected[1]
 
     def test_plain_averaging_switches(self, monkeypatch):
         # the network average, as sat's stage one takes it, follows the
@@ -514,7 +552,7 @@ class TestRunToConvergence:
         initials = np.random.default_rng(5).random((4, 5))
         calls = record_restarts(monkeypatch)
         states, (rounds,), (converged,) = run_to_convergence(w, initials, None, 1e-12, 10000)
-        assert converged and len(calls) == 1 and 1 < calls[0][0][0] < 2
+        assert converged and len(calls) == 1 and 1 < calls[0][1] < 2
         assert np.abs(states - initials.mean(axis=0)).max() < 1e-9
         prev = initials
         for plain, x in enumerate(consensus(w, initials), start=1):
@@ -526,8 +564,8 @@ class TestRunToConvergence:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("fast", [0.0, -3.0], ids=["zero-shift", "growing-shift"])
     def test_guarded_nodes_keep_the_plain_state(self, path3, fast):
-        # plain averaging on the path 1-2-3 from shifts far below
-        # SECOND_ORDER_BELOW, along its slow mode (1, 0, -1) and its fast
+        # plain averaging on the path 1-2-3 from shifts of about 2^-24,
+        # along its slow mode (1, 0, -1) and its fast
         # mode (1, -2, 1): alone, the slow mode never moves node 2 (powers
         # of two keep its mix of nodes 1 and 3 exactly zero); mixed in, the
         # fast mode passes node 1's shift through zero, so that shift grows
@@ -602,9 +640,10 @@ def assert_matches_per_round(w, states, eqs, tol, max_rounds):
 
 
 class TestLoudBlocks:
-    """``run_to_convergence`` takes ``BLOCK`` rounds at once and acts at the
-    first one that stops or switches the batch: every result equals the
-    per-round loop's (``conftest.per_round_convergence``)."""
+    """``run_to_convergence`` takes ``BLOCK`` rounds at once, stops at the
+    first one that meets the stop rule and reads rates only at block ends:
+    every result equals the per-round loop's
+    (``conftest.per_round_convergence``)."""
 
     def test_single_run(self, ex1, path3):
         w = build_weights(path3, 0.3)
@@ -676,51 +715,63 @@ class TestLoudBlocks:
         initials = np.full((3, 2), 1e-11)
         shifts = np.diff([initials, *islice(consensus(w, initials), BLOCK)], axis=0)
         assert np.abs(shifts[0]).max() < 1e-10
-        assert np.abs(shifts[-1]).max() > SECOND_ORDER_BELOW
+        assert np.abs(shifts[-1]).max() > 1e6 * 1e-10
         _, rounds, converged = assert_matches_per_round(w, initials, None, 1e-10, 5000)
         assert (rounds, converged) == ([1], [True])
 
-    def test_failed_block_of_loud_rounds(self, path3):
-        # a shift on one coordinate: the sup shift, at least
-        # SECOND_ORDER_BELOW in every round of the first block, is that
-        # coordinate's change, while the shift's 2-norm over sqrt(n d), a
-        # mean, is below it, so the batch must not switch in that block
+    def test_one_coordinate_reads_the_second_eigenvalue(self, path3, monkeypatch):
+        # a shift on one coordinate, by plain averaging on the path 1-2-3 at
+        # epsilon 0.25, whose W has eigenvalues 1, 0.75 and 0.25: the sup
+        # shift is that coordinate's change, its rate settles at the first
+        # block end with two windows, round 5 BLOCK, and reads the slow
+        # mode's 0.75
         w = build_weights(path3, 0.25)
         initials = np.zeros((3, 8))
         initials[0, 0] = 2.0**-7
-        shifts = np.diff([initials, *islice(consensus(w, initials), BLOCK)], axis=0)
-        assert np.abs(shifts).max(axis=(1, 2)).min() >= SECOND_ORDER_BELOW
-        assert np.linalg.norm(shifts[-1]) < math.sqrt(24) * SECOND_ORDER_BELOW
+        calls = record_restarts(monkeypatch)
         _, (rounds,), (converged,) = assert_matches_per_round(
             w, initials, None, 1e-10, 5000
         )
-        assert converged and rounds > BLOCK
+        [(switch, omega, _, _)] = calls
+        rho = math.sqrt(1 - (2 / omega - 1) ** 2)  # omega = 2 / (1 + sqrt(1 - rho^2))
+        assert switch == 5 * BLOCK and abs(rho - 0.75) < 1e-9
+        assert converged and rounds > switch + BLOCK
+
+
+def corpus_batch(doc):
+    """(w, initials, lift) of a benchmark corpus document's batch of runs,
+    as the exact modes draw it."""
+    system = BooleanSystem.from_texts(
+        doc["m"], [(e["formula"], e["rhs"]) for e in doc["equations"]]
+    )
+    graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
+    config = RunConfig(**doc["config"])
+    n, d = graph.n, 2**system.m
+    runs = min(config.effective_k_star(system.m), d + 2)
+    return (
+        build_weights(graph, config.effective_epsilon(n)),
+        SplitMix64(config.seed).random((runs, n, d)),
+        lift_system(system),
+    )
 
 
 class TestCorpusRuns:
-    """Each benchmark corpus problem's batch of runs, as the exact modes
-    draw it at workload seed 1."""
+    """Benchmark corpus problems' batches of runs, as the exact modes draw
+    them: every exact-small and sat-mixed problem at workload seed 1, and
+    single problems that show one part of the rule."""
 
     @pytest.fixture
-    def batches(self, monkeypatch):
+    def workloads(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        workloads = importlib.import_module("workloads").WORKLOADS
-        found = []
-        for name in ("exact-small", "sat-mixed"):
-            for doc in workloads[name].generate(1):
-                system = BooleanSystem.from_texts(
-                    doc["m"], [(e["formula"], e["rhs"]) for e in doc["equations"]]
-                )
-                graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
-                config = RunConfig(**doc["config"])
-                n, d = graph.n, 2**system.m
-                runs = min(config.effective_k_star(system.m), d + 2)
-                found.append((
-                    build_weights(graph, config.effective_epsilon(n)),
-                    SplitMix64(config.seed).random((runs, n, d)),
-                    lift_system(system),
-                ))
-        return found
+        return importlib.import_module("workloads").WORKLOADS
+
+    @pytest.fixture
+    def batches(self, workloads):
+        return [
+            corpus_batch(doc)
+            for name in ("exact-small", "sat-mixed")
+            for doc in workloads[name].generate(1)
+        ]
 
     def test_limits_match_first_order_limits(self, batches):
         # against first-order rounds run on to a sup shift of 1e-13
@@ -738,6 +789,60 @@ class TestCorpusRuns:
                 w, initials, eqs, CONSENSUS_TOL, 5000
             )
             assert len(set(rounds)) == 1 and all(converged)
+
+    def test_a_second_mode_is_read_back_to_rho(self, workloads, monkeypatch):
+        # exact-small seed 1's m = 3, n = 5 entry: its first settled window
+        # reads the second mode, 0.965, not rho = 0.990, so the second-order
+        # rounds show a real root above sqrt(omega - 1), and the batch
+        # re-reads rho from it once
+        doc = workloads["exact-small"].generate(1)[2]
+        assert (doc["m"], len(doc["equations"])) == (3, 5)
+        w, initials, eqs = corpus_batch(doc)
+        calls = record_restarts(monkeypatch)
+        _, _, converged = run_to_convergence(w, initials, eqs, CONSENSUS_TOL, 5000)
+        assert all(converged) and len(calls) == 2
+        # rho: the largest modulus below 1 of M = blockdiag(I - h_i^+ h_i)
+        # (W kron I), the first-order round's linear part
+        n, d = w.shape[0], initials.shape[2]
+        project = np.zeros((n * d, n * d))
+        for i in range(n):
+            project[i * d : (i + 1) * d, i * d : (i + 1) * d] = np.eye(d) - eqs.h_pinv[i] @ eqs.h[i]
+        moduli = np.abs(np.linalg.eigvals(project @ np.kron(w, np.eye(d))))
+        rho = moduli[moduli < 1 - 1e-9].max()
+        optimal = 2 / (1 + math.sqrt(1 - rho**2))
+        assert abs(calls[0][1] / optimal - 1) > 0.05
+        assert abs(calls[1][1] / optimal - 1) < 0.01
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_reread_at_or_below_the_complex_modulus(self, workloads, monkeypatch):
+        # exact-small seed 1's m = 4, n = 6 entry: a settled second-order
+        # window reads m <= sqrt(omega - 1), the modulus of the complex
+        # roots, which shows no real root, and the batch keeps its omega
+        w, initials, eqs = corpus_batch(workloads["exact-small"].generate(1)[7])
+        calls = record_restarts(monkeypatch)
+        _, (rounds, *_), _ = run_to_convergence(w, initials, eqs, CONSENSUS_TOL, 5000)
+        [(switch, omega, _, _)] = calls
+        _, shifts = replayed(w, initials, eqs, calls, rounds)
+        ends = range(switch + 4 * BLOCK, rounds + 1, BLOCK)  # two windows from the switch
+        low = [t for t in ends if settled(*window_rates(shifts, t))]
+        assert low and all(window_rates(shifts, t)[0] <= math.sqrt(omega - 1) for t in low)
+
+    def test_one_dip_below_tol_does_not_stop(self, workloads, monkeypatch):
+        # exact-small seed 2's m = 4, n = 6 entry: ringing complex modes
+        # pass the batch's sup shift below tol in one round, 1.3e-8 from
+        # the first-order limits, and it rises again; the batch stops only
+        # after BLOCK quiet rounds
+        w, initials, eqs = corpus_batch(workloads["exact-small"].generate(2)[3])
+        calls = record_restarts(monkeypatch)
+        states, (rounds, *_), _ = run_to_convergence(w, initials, eqs, CONSENSUS_TOL, 5000)
+        replay, shifts = replayed(w, initials, eqs, calls, rounds)
+        dip = next(t for t, s in enumerate(shifts, start=1) if s < CONSENSUS_TOL)
+        assert calls[-1][0] < dip < rounds - BLOCK
+        assert max(shifts[dip : dip + BLOCK]) >= CONSENSUS_TOL
+        assert max(shifts[-BLOCK:]) < CONSENSUS_TOL
+        limits = first_order_limits(w, initials, eqs)
+        assert np.abs(replay[dip - 1] - limits).max() > 1e-8
+        assert np.abs(states - limits).max() < 1e-9
 
 
 class TestDeterminism:
