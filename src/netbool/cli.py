@@ -21,8 +21,10 @@ Identical problem files and seeds produce byte-identical documents.
 An outcome is undecided when the solver lists reasons in its
 ``undecided`` field (the nodes' solution sets disagree, a node's subspace
 fails the dimension floor or the rank gap, a consensus stage hit
-``max_rounds``, a truncated node has no contraction rate or too large a
-threshold or search slack); the document carries them as its ``undecided`` list,
+``max_rounds``, ``sat``'s stage one splits its node flags, a truncated
+node has no contraction rate or too large a threshold or search slack, or
+a truncated fit keeps no direction while its outputs' spread is near its
+threshold); the document carries them as its ``undecided`` list,
 and ``solve``, ``solve-approx`` and ``sat`` print one ``warning:`` line
 per reason to stderr.
 """
@@ -142,7 +144,7 @@ def _write_trace(problem: ProblemFile, config: RunConfig, path: str | None, roun
     graph = problem.graph()
     eqs = lift_system(system)
     w = build_weights(graph, config.effective_epsilon(graph.n))
-    initials = SplitMix64(config.seed).random((graph.n, 2**system.m))
+    initials = SplitMix64(config.seed).random((1, graph.n, 2**system.m))
     frames = chain([initials], islice(consensus(w, initials, eqs), rounds))
 
     out = sys.stdout if path is None else open(path, "w", newline="")
@@ -150,7 +152,7 @@ def _write_trace(problem: ProblemFile, config: RunConfig, path: str | None, roun
         writer = csv.writer(out)
         writer.writerow(["round", "node", "coordinate", "value"])
         for t, states in enumerate(frames):
-            for node, row in enumerate(states, start=1):
+            for node, row in enumerate(states[0], start=1):
                 for coord, value in enumerate(row, start=1):
                     writer.writerow([t, node, coord, repr(float(value))])
     finally:

@@ -135,56 +135,51 @@ def consensus(
     w: np.ndarray,
     states: np.ndarray,
     eqs: LiftedSystem | None = None,
-    omega: float | Sequence[float] | None = None,
+    omega: float | None = None,
     previous: np.ndarray | None = None,
 ) -> Iterator[np.ndarray]:
-    """The rounds of synchronous runs from ``states``: an endless generator
-    of state arrays, a new array each round.  ``states`` is one run's
-    (n, d) array (row i-1 is node i) or a batch of k runs as (k, n, d);
-    each round has the input's shape.
+    """The rounds of a batch of synchronous runs from ``states``, k runs'
+    states as a (k, n, d) array (row i-1 of run j is node i): an endless
+    generator of (k, n, d) state arrays, a new array each round.  One run
+    is the batch of one.
 
     A round is x <- P(W x): every node mixes with its neighbors through
     the mixing matrix ``w``, then, when ``eqs`` is given, projects onto its
     own affine solution set by y - h^+ (h y - z), for all nodes at once as
     batched products on the lift's stacked arrays, whose index i is node
     i's equation.  With ``eqs`` None the round is plain averaging.  With
-    ``omega`` given, one weight per run or one number for all, the round
-    is second-order, x(t+1) <- omega P(W x(t)) + (1 - omega) x(t-1), from
-    ``previous``, the states one round before ``states``; omega = 1 is the
-    first-order round bit for bit, as 1 y + 0 x = y.  The k runs live in
-    one C-contiguous (n, d k) array, coordinate-major with the run as the
-    fastest axis, so a round is one ``w @ x`` for every run and one
-    projection on its (n, d, k) view; one run is the case k = 1, where
-    that array is the (n, d) state itself.  The residual h y - z, the
-    correction h^+ (h y - z) and (1 - omega) x(t-1) are one workspace per
-    call: the first round's products allocate them and later rounds write
-    into them, in the same order of operations, so the states are
-    bit-identical to freshly allocated products.  Only ``w @ x`` makes a
-    new array, and each yield is that round's own, never a workspace
-    array: a caller may keep every yield.  The inputs are checked when the
-    first round is requested.
+    ``omega`` given, one weight for every run, the round is second-order,
+    x(t+1) <- omega P(W x(t)) + (1 - omega) x(t-1), from ``previous``, the
+    states one round before ``states``; omega = 1 is the first-order round
+    bit for bit, as 1 y + 0 x = y.  The k runs live in one C-contiguous
+    (n, d k) array, coordinate-major with the run as the fastest axis, so
+    a round is one ``w @ x`` for every run and one projection on its
+    (n, d, k) view.  The residual h y - z, the correction h^+ (h y - z) and
+    (1 - omega) x(t-1) are one workspace per call: the first round's
+    products allocate them and later rounds write into them, in the same
+    order of operations, so the states are bit-identical to freshly
+    allocated products.  Only ``w @ x`` makes a new array, and each yield
+    is that round's own, never a workspace array: a caller may keep every
+    yield.  The inputs are checked when the first round is requested.
     """
     x = np.asarray(states, dtype=float)
     n = w.shape[0]
-    if x.ndim not in (2, 3) or x.shape[-2] != n:
+    if x.ndim != 3 or x.shape[1] != n:
         raise ValueError(
-            f"expected one state row per node, got shape {x.shape} for n={n}"
+            f"expected a batch of states shaped (k, n, d), one state row per "
+            f"node, got shape {x.shape} for n={n}"
         )
+    k, _, d = x.shape
     if eqs is not None and len(eqs.h) != n:
         raise ValueError(f"expected {n} equations, got {len(eqs.h)}")
     if omega is not None and np.shape(previous) != x.shape:
         raise ValueError(f"second-order rounds need previous states shaped {x.shape}")
-    batched = x.ndim == 3
-    k, d = (x.shape[0], x.shape[2]) if batched else (1, x.shape[1])
-    if batched:
-        x = x.transpose(1, 2, 0).reshape(n, d * k)  # a C-contiguous copy
+    x = x.transpose(1, 2, 0).reshape(n, d * k)  # a C-contiguous copy
     del states  # the rounds read only x: the caller's initials can go
     if omega is not None:  # x(t-1), omega and 1 - omega in the states' layout
-        before = np.asarray(previous, dtype=float)
-        before = before.transpose(1, 2, 0).reshape(n, d * k) if batched else before
-        keep = np.empty((n, d, k))
-        keep[...] = omega  # whole-array products take half the time of a broadcast
-        omega, keep = keep.reshape(x.shape), 1.0 - keep.reshape(x.shape)
+        before = np.asarray(previous, dtype=float).transpose(1, 2, 0).reshape(n, d * k)
+        # whole-array products take half the time of a scalar's broadcast
+        omega, keep = np.full(x.shape, omega), np.full(x.shape, 1.0 - omega)
     del previous
     resid = step = held = None  # the workspace, from the first round's products
     # a local name and a positional ``out`` skip a lookup and the keyword
@@ -204,7 +199,7 @@ def consensus(
         if omega is not None:
             x *= omega
             x += held
-        yield y.transpose(2, 0, 1) if batched else x
+        yield y.transpose(2, 0, 1)
 
 
 def run_to_convergence(
@@ -213,14 +208,12 @@ def run_to_convergence(
     eqs: LiftedSystem | None,
     tol: float,
     max_rounds: int,
-) -> tuple[np.ndarray, list[int], list[bool]]:
-    """Run ``consensus(w, states, eqs)`` until the runs converge, or for
-    ``max_rounds``.  ``states`` is one run's (n, d) array or a batch of k
-    runs as (k, n, d), which step as one network run: one omega and one
-    stop for the whole batch.  Returns (final states, shaped like
-    ``states`` and C-contiguous, the rounds used, whether the batch
-    converged), the last two as lists of k equal ``int`` and ``bool``
-    entries, one entry for one run's (n, d) states.
+) -> tuple[np.ndarray, int, bool]:
+    """Run ``consensus(w, states, eqs)`` on a (k, n, d) batch of runs until
+    it converges, or for ``max_rounds``.  The batch steps as one network
+    run: one omega and one stop for all its runs.  Returns (final states,
+    (k, n, d) and C-contiguous, the rounds the network stepped, whether
+    the batch converged).
 
     A round's sup shift s(t) is the largest state change over the runs,
     nodes and coordinates; in a network it is a max-flood of one number per
@@ -260,10 +253,7 @@ def run_to_convergence(
         raise ValueError("tol must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    single = np.ndim(states) == 2
     prev = np.asarray(states, dtype=float)
-    if single:
-        prev = prev[None]  # one run is the batch of one
     runs = consensus(w, prev, eqs)
     # need: the quiet rounds, with s(t) below tol, that stop the batch
     t, quiet, need, rho, omega, shifts = 0, 0, 1, None, None, []
@@ -275,8 +265,7 @@ def run_to_convergence(
             quiet = quiet + 1 if s < tol else 0
             if quiet == need or t == max_rounds:
                 # a copy: a view would keep the whole block alive
-                final = block[i, 0] if single else block[i]
-                return final.copy(), [t] * len(prev), [quiet == need] * len(prev)
+                return block[i].copy(), t, quiet == need
         prev = block[-1]
         shifts += read
         rate = _settled_rate(shifts)

@@ -145,10 +145,11 @@ class SolveOutcome:
     set by satisfiability verification.  ``undecided`` holds one short
     reason per condition that keeps the outcome from being an answer (the
     nodes' sets disagree, a node's subspace fails the dimension floor or
-    the rank gap, a consensus run hit ``max_rounds``, a truncated node has
-    no contraction rate, too large a threshold or search slack, or a fit
-    with no direction whose outputs' spread is near its threshold); it is
-    empty exactly when the outcome is decided.
+    the rank gap, a consensus run hit ``max_rounds``, satisfiability
+    verification's node flags are split, a truncated node has no
+    contraction rate, too large a threshold or search slack, or a fit with
+    no direction whose outputs' spread is near its threshold); it is empty
+    exactly when the outcome is decided.
     """
 
     mode: str
@@ -166,32 +167,29 @@ def distributed_lae(
     graph: Graph,
     config: RunConfig,
     initials: np.ndarray,
-) -> tuple[np.ndarray, int, bool, list]:
+) -> tuple[np.ndarray, int, bool, int | list]:
     """Projection-consensus runs of the network linear equation from
-    ``initials``: one run's (n, d) states, or a batch of k runs as
-    (k, n, d) that step together.  With ``eqs`` None the runs are the
-    plain network average.
+    ``initials``, a batch of k runs as (k, n, d) that step together.  With
+    ``eqs`` None the runs are the plain network average.
 
     With ``config.T`` unset, ``run_to_convergence`` iterates the batch as
     one network run, first-order and then second-order, until the largest
     per-round change of its states drops below ``CONSENSUS_TOL`` (or
-    ``max_rounds``), so every run takes the same rounds; with ``T`` set,
-    exactly T first-order rounds of ``consensus`` run.  Returns (final
-    states, shaped and C-contiguous like ``initials``, the rounds summed
-    over the runs, whether every run converged, a last entry): without
-    ``T`` it is the pair of lists (each run's rounds, each run's converged
-    flag), one entry each for one run's (n, d) states; with ``T`` it is
-    the list of each node's sup change over the runs in rounds T - 1 and
-    T, as (n,) arrays, taken between rounds' outputs only, as the pass
-    lets the initials go, so T < 3 gives fewer.
+    ``max_rounds``); with ``T`` set, exactly T first-order rounds of
+    ``consensus`` run.  Returns (final states, (k, n, d) and C-contiguous,
+    the rounds summed over the runs, whether the batch converged, a last
+    entry): without ``T`` it is the rounds t the network stepped, so the
+    sum is k t; with ``T`` it is the list of each node's sup change over
+    the runs in rounds T - 1 and T, as (n,) arrays, taken between rounds'
+    outputs only, as the pass lets the initials go, so T < 3 gives fewer.
     """
     w = build_weights(graph, config.effective_epsilon(graph.n))
+    runs = len(initials)
     if config.T is None:
         states, rounds, converged = run_to_convergence(
             w, initials, eqs, CONSENSUS_TOL, config.max_rounds
         )
-        return states, sum(rounds), all(converged), (rounds, converged)
-    runs = len(initials) if np.ndim(initials) == 3 else 1
+        return states, runs * rounds, converged, rounds
     states = initials
     del initials  # the first round rebinds ``states``, and the initials go
     shifts, prev = [], None
@@ -200,7 +198,7 @@ def distributed_lae(
             # the generator no longer reads the previous round's states, so
             # the shift overwrites them rather than take a fourth array
             np.abs(np.subtract(states, prev, out=prev), out=prev)
-            shifts.append(prev.max(axis=(0, 2)) if prev.ndim == 3 else prev.max(axis=1))
+            shifts.append(prev.max(axis=(0, 2)))
         prev = states if t >= config.T - 2 else None
     return np.ascontiguousarray(states), runs * config.T, True, shifts
 
@@ -279,18 +277,19 @@ def _certified_runs(
     of the nodes' bits, which a flood would take at most the diameter in
     rounds to spread; the simulation reads the bits directly.  Run j's
     initials are the stream's j-th (n, 2^m) block.  Returns (k*, the batch
-    size, the certified prefix's states as (runs, n, 2^m), its per-run
-    rounds, whether all of them converged, the last check's fits)."""
+    size, the certified prefix's states as (runs, n, 2^m), the network's
+    rounds once per kept run, whether the batch converged, the last
+    check's fits)."""
     k, eqs, stream = _start(system, graph, config, False)
     n, d = graph.n, 2**system.m
     batch = min(k, d + 2)
-    linear, _, _, (rounds, converged) = distributed_lae(
+    linear, _, converged, rounds = distributed_lae(
         eqs, graph, config, stream.random((batch, n, d))
     )
     for j in range(min(max(3, d - n + 2), batch), batch + 1):
         fits = [best_affine_fit(linear[:j, i], RANK_TOL) for i in range(n)]
         if j == batch or all(fit.dim <= j - 3 for fit, _ in fits):
-            return k, batch, linear[:j], rounds[:j], all(converged[:j]), fits
+            return k, batch, linear[:j], [rounds] * j, converged, fits
 
 
 @lru_cache(maxsize=4096)
@@ -512,10 +511,10 @@ def verify_satisfiability(
 
     # stage one: per-node projection-consensus limits, then the network's
     # own average of them
-    initials = stream.random((graph.n, 2**system.m))
+    initials = stream.random((1, graph.n, 2**system.m))
     limits, limit_rounds, limits_converged, _ = distributed_lae(eqs, graph, config, initials)
     averaged, avg_rounds, avg_converged, _ = distributed_lae(None, graph, config, limits)
-    node_gaps = np.abs(averaged - limits).max(axis=1)
+    node_gaps = np.abs(averaged - limits).max(axis=(0, 2))
     node_flags = node_gaps > DISAGREEMENT_TOL
     diagnostics = {
         "limit_rounds": limit_rounds,

@@ -358,17 +358,17 @@ def sequential_certified_runs(
 ) -> tuple[int, int, np.ndarray, list[int], bool, list]:
     """Reference for ``solver._certified_runs``, with its arguments and
     results: run j's initials are the stream's j-th (n, 2^m) block,
-    stepped alone, and after each run j >= max(3, 2^m - n + 2), or at
-    j = k*, every node fits its j limits at ``RANK_TOL``; the runs stop
-    once every fit has dimension at most j - 3.  The runs stepped are the
-    runs kept."""
+    stepped alone as a batch of one, and after each run
+    j >= max(3, 2^m - n + 2), or at j = k*, every node fits its j limits
+    at ``RANK_TOL``; the runs stop once every fit has dimension at most
+    j - 3.  The runs stepped are the runs kept."""
     k = config.effective_k_star(system.m)
     eqs, stream = lift_system(system), SplitMix64(config.seed)
     n, d = graph.n, 2**system.m
     limits, rounds, converged = [], [], True
     for j in range(1, k + 1):
-        x, r, c, _ = distributed_lae(eqs, graph, config, stream.random((n, d)))
-        limits.append(x)
+        x, r, c, _ = distributed_lae(eqs, graph, config, stream.random((1, n, d)))
+        limits.append(x[0])
         rounds.append(r)
         converged = converged and c
         if j >= max(3, d - n + 2) or j == k:
@@ -385,11 +385,11 @@ def per_round_convergence(
     eqs: LiftedSystem | None,
     tol: float,
     max_rounds: int,
-) -> tuple[np.ndarray, list[int], list[bool]]:
+) -> tuple[np.ndarray, int, bool]:
     """Reference for ``network.run_to_convergence``, with its arguments and
-    results, read one round at a time.  The batch steps as one run: a
-    round's sup shift s(t) is the largest change over every run, node and
-    coordinate.  A first-order batch stops in the first round with s(t)
+    results, read one round at a time.  The (k, n, d) batch steps as one
+    run: a round's sup shift s(t) is the largest change over every run,
+    node and coordinate.  A first-order batch stops in the first round with s(t)
     below ``tol``, a second-order one once its last ``BLOCK`` shifts are
     below it, and either at ``max_rounds``.  Every ``BLOCK`` rounds the
     batch reads m = (s(t) / s(t - W))^(1 / W), W = 2 ``BLOCK``, from the
@@ -400,15 +400,12 @@ def per_round_convergence(
     sqrt(omega - 1) reads rho' = (m^2 + omega - 1) / (omega m), taken
     when 1 - rho' <= (1 - ``SETTLED``) (1 - rho).  A new rho restarts the
     batch second-order at omega = 2 / (1 + sqrt(1 - rho^2)).  Its states,
-    rounds and converged flags are the engine's bit for bit."""
+    rounds and converged flag are the engine's bit for bit."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    single = np.ndim(states) == 2
     prev = np.asarray(states, dtype=float)
-    if single:
-        prev = prev[None]  # one run is the batch of one
     runs, shifts, omega, rho, quiet = consensus(w, prev, eqs), [], None, None, 0
     for t in range(1, max_rounds + 1):
         x = next(runs)
@@ -420,9 +417,7 @@ def per_round_convergence(
             rho, omega = new, 2.0 / (1.0 + math.sqrt(1.0 - new * new))
             runs, shifts = consensus(w, x, eqs, omega, prev), [s]
         prev = x
-    final = np.array(x[0] if single else x)
-    done = quiet == (1 if omega is None else BLOCK)
-    return final, [t] * len(x), [done] * len(x)
+    return np.array(x), t, quiet == (1 if omega is None else BLOCK)
 
 
 def restart_rate(shifts: list[float], omega: float | None, rho: float | None) -> float | None:

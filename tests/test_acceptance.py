@@ -109,8 +109,8 @@ def test_criterion_3_disagreeing_limits_detect_infeasible_lift():
     eqs = lift_system(system)
 
     rng = np.random.default_rng(0)
-    states, (rounds,), (converged,) = run_to_convergence(
-        build_weights(graph, 0.2), rng.random((3, 8)), eqs, 1e-10, 5000
+    (states,), rounds, converged = run_to_convergence(
+        build_weights(graph, 0.2), rng.random((1, 3, 8)), eqs, 1e-10, 5000
     )
     max_gap = max(
         float(np.abs(states[i] - states[j]).max())
@@ -218,7 +218,7 @@ def test_criterion_7_consensus_identities():
 
     # (a) the stacked-projection sum is conserved round by round
     states = rng.random((3, 8))
-    rounds = consensus(build_weights(graph, 0.3), states, eqs)
+    rounds = consensus(build_weights(graph, 0.3), states[None], eqs)
     reference = sum(project_affine(stacked, s) for s in states)
     conservation_error = 0.0
     gaps = []
@@ -230,7 +230,7 @@ def test_criterion_7_consensus_identities():
                 for j in range(i + 1, 3)
             )
         )
-        states = next(rounds)
+        (states,) = next(rounds)
         current = sum(project_affine(stacked, s) for s in states)
         conservation_error = max(
             conservation_error, float(np.abs(current - reference).max())
@@ -239,8 +239,8 @@ def test_criterion_7_consensus_identities():
 
     # (b) plain averaging converges to the initial mean
     initials = rng.random((3, 8))
-    final, _, _ = run_to_convergence(
-        build_weights(graph, 0.3), initials, None, 1e-12, 20000
+    (final,), _, _ = run_to_convergence(
+        build_weights(graph, 0.3), initials[None], None, 1e-12, 20000
     )
     mean_error = float(np.abs(final - initials.mean(axis=0)).max())
     mean_ok = mean_error < 1e-9

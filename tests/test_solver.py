@@ -78,16 +78,16 @@ class TestDistributedLAE:
         system = BooleanSystem.from_texts(2, [("x1 | x2", 1)])
         eqs = lift_system(system)
         g = Graph(1, frozenset())
-        initials = np.array([[0.3, 0.8, 0.1, 0.9]])
+        initials = np.array([[[0.3, 0.8, 0.1, 0.9]]])
         states, rounds, converged, _ = distributed_lae(eqs, g, RunConfig(), initials)
         assert converged and rounds <= 2
-        assert np.allclose(states[0], project_affine(node_equations(eqs)[0], initials[0]))
+        assert np.allclose(states[0, 0], project_affine(node_equations(eqs)[0], initials[0, 0]))
 
     def test_outputs_solve_every_local_equation(self, ex1, path3):
         eqs = lift_system(ex1)
         rng = np.random.default_rng(2)
-        states, _, converged, _ = distributed_lae(
-            eqs, path3, RunConfig(), rng.random((3, 8))
+        (states,), _, converged, _ = distributed_lae(
+            eqs, path3, RunConfig(), rng.random((1, 3, 8))
         )
         assert converged
         for node_state in states:
@@ -97,7 +97,7 @@ class TestDistributedLAE:
         eqs = lift_system(ex1)
         rng = np.random.default_rng(3)
         initials = rng.random((3, 8))
-        states, *_ = distributed_lae(eqs, path3, RunConfig(), initials)
+        (states,), *_ = distributed_lae(eqs, path3, RunConfig(), initials[None])
         expected = central_projected_average(eqs, initials)
         assert np.abs(states - expected).max() < 1e-8
 
@@ -106,15 +106,15 @@ class TestDistributedLAE:
         e = np.zeros(8)
         e[0] = 1.0  # a common feasible point
         states, rounds, converged, _ = distributed_lae(
-            eqs, path3, RunConfig(), np.tile(e, (3, 1))
+            eqs, path3, RunConfig(), np.tile(e, (1, 3, 1))
         )
         assert converged and rounds == 1
-        assert np.allclose(states, np.tile(e, (3, 1)), atol=1e-12)
+        assert np.allclose(states, np.tile(e, (1, 3, 1)), atol=1e-12)
 
     def test_finite_horizon_runs_requested_rounds(self, ex1, path3):
         eqs = lift_system(ex1)
         rng = np.random.default_rng(4)
-        initials = rng.random((3, 8))
+        initials = rng.random((1, 3, 8))
         states_short, rounds, *_ = distributed_lae(
             eqs, path3, RunConfig(T=7), initials
         )
@@ -135,7 +135,7 @@ class TestDistributedLAE:
         assert converged and type(rounds) is int and rounds == 4 * 30
         assert states.shape == (4, 3, 8) and states.flags.c_contiguous
         for run, start in zip(states, initials):
-            single, *_ = distributed_lae(eqs, path3, config, start)
+            (single,), *_ = distributed_lae(eqs, path3, config, start[None])
             assert np.abs(run - single).max() < 1e-12
 
     @pytest.mark.parametrize("horizon", [1, 2, 3, 30])
@@ -144,11 +144,10 @@ class TestDistributedLAE:
         # between rounds' outputs only, so T < 3 has fewer than two
         eqs = lift_system(ex1)
         batch = np.random.default_rng(5).random((4, 3, 8))
-        for initials in (batch, batch[0]):
+        for initials in (batch, batch[:1]):
             *_, shifts = distributed_lae(eqs, path3, RunConfig(T=horizon), initials)
             outputs = list(islice(consensus(build_weights(path3, 0.3), initials, eqs), horizon))
-            node = (0, 2) if initials.ndim == 3 else 1
-            expected = [np.abs(b - a).max(axis=node) for a, b in zip(outputs, outputs[1:])]
+            expected = [np.abs(b - a).max(axis=(0, 2)) for a, b in zip(outputs, outputs[1:])]
             assert len(shifts) == min(horizon - 1, 2)
             for got, want in zip(shifts, expected[-2:]):
                 assert np.array_equal(got, want)
@@ -175,20 +174,20 @@ class TestDistributedLAE:
         assert peak < 3.5 * states.nbytes
 
     def test_convergent_runs_step_a_batch(self, ex1, path3):
-        # the batch stops in one round: the rounds come back summed, as in
-        # the T branch, and per run, as ints, beside each run's flag
+        # the batch stops in one round: the rounds come back summed over the
+        # runs, as in the T branch, and as the network's own count, an int,
+        # beside the batch's one flag
         initials = np.random.default_rng(6).random((4, 3, 8))
-        states, rounds, converged, (per_run, flags) = distributed_lae(
+        states, rounds, converged, network_rounds = distributed_lae(
             lift_system(ex1), path3, RunConfig(), initials
         )
         assert states.shape == (4, 3, 8) and states.flags.c_contiguous
-        assert converged is True and len(per_run) == 4 and flags == [True] * 4
-        assert all(type(r) is int for r in per_run) and rounds == sum(per_run)
-        assert per_run == per_run[:1] * 4
+        assert converged is True and type(network_rounds) is int
+        assert rounds == 4 * network_rounds
         w = build_weights(path3, 0.3)
         assert np.abs(states - first_order_limits(w, initials, lift_system(ex1))).max() < 1e-9
         for run, start in zip(states, initials):
-            single, *_ = distributed_lae(lift_system(ex1), path3, RunConfig(), start)
+            (single,), *_ = distributed_lae(lift_system(ex1), path3, RunConfig(), start[None])
             assert np.abs(run - single).max() < 1e-9
 
 
@@ -839,24 +838,23 @@ class TestCertifiedRuns:
         # the runs are the first 6 of one distributed_lae batch of all 9:
         # k* = 9 is below 2^m + 2 = 10, so the batch is k* runs
         initials = SplitMix64(config.seed).random((9, 6, 8))
-        batch, _, _, (rounds, _) = distributed_lae(lift_system(system), graph, config, initials)
+        batch, _, _, rounds = distributed_lae(lift_system(system), graph, config, initials)
         assert np.array_equal(outcome.linear_solutions, batch[:6])
-        assert outcome.diagnostics["rounds"] == rounds[:6]
+        assert outcome.diagnostics["rounds"] == [rounds] * 6
 
-    def test_converged_covers_only_the_kept_runs(self, monkeypatch):
-        # a run past the certified prefix that hit max_rounds is dropped
-        # with its flag: SILENT_EMPTY_DOC keeps 6 of its 9 runs
-        def last_unconverged(eqs, graph, config, initials):
-            states, rounds, _, (per_run, flags) = distributed_lae(eqs, graph, config, initials)
-            return states, rounds, False, (per_run, flags[:-1] + [False])
-
-        monkeypatch.setattr(solver, "distributed_lae", last_unconverged)
+    def test_a_capped_batch_leaves_the_kept_runs_unconverged(self):
+        # the batch has one flag: capped one round before its stop, its
+        # states already certify SILENT_EMPTY_DOC's 6-run prefix, and that
+        # prefix keeps the batch's false flag, so the outcome is undecided
         doc = SILENT_EMPTY_DOC
         system = BooleanSystem.from_texts(doc["m"], doc["equations"])
         graph = Graph.from_edge_list(len(doc["equations"]), doc["edges"])
-        outcome = solve_exact(system, graph, RunConfig(**doc["config"]))
-        assert len(outcome.diagnostics["rounds"]) == 6
-        assert outcome.diagnostics["converged"] is True and outcome.undecided == ()
+        stop = solve_exact(system, graph, RunConfig(**doc["config"])).diagnostics["rounds"][0]
+        capped = solve_exact(system, graph, RunConfig(**doc["config"], max_rounds=stop - 1))
+        assert capped.diagnostics["rounds"] == [stop - 1] * 6
+        assert capped.diagnostics["runs_stepped"] == 9
+        assert capped.diagnostics["converged"] is False
+        assert capped.undecided == ("consensus hit max_rounds (converged is false)",)
 
     def test_one_batch_of_two_more_runs_than_the_state(self, monkeypatch, ex1, path3):
         # a hull has dimension at most 2^m - 1, so the check after run
@@ -1075,6 +1073,41 @@ class TestTracerContract:
         (lae,) = [s for s in tracer.spans if s.name == "network.lae"]
         assert type(lae.counters["rounds"]) is int and lae.counters["rounds"] == 9 * 50
         assert lae.counters["converged"] is True
+
+    @pytest.mark.parametrize(
+        "mode, work",
+        [
+            ("solve", (1, 954, 2862, 0, 3, 12)),
+            ("solve-approx", (1, 450, 1350, 0, 3, 12)),
+            ("sat", (3, 1093, 3279, 0, 3, 12)),
+        ],
+    )
+    def test_layer_work_counts(self, tracing, ex1, path3, mode, work):
+        # the per-layer work counts the benchmark reports for ex1 on the
+        # path at seed 7, pinned: a change to how the engine takes or
+        # returns its runs moves none of them.  sat's runs are its two
+        # stage-one runs and stage two's batch
+        solve = {
+            "solve": lambda: solver.solve_exact(ex1, path3, RunConfig(seed=7)),
+            "solve-approx": lambda: solver.solve_approximate(ex1, path3, RunConfig(seed=7, T=50)),
+            "sat": lambda: solver.verify_satisfiability(ex1, path3, RunConfig(seed=7)),
+        }[mode]
+        tracer = tracing.Tracer()
+        tracer.install(solver)
+        try:
+            solve()
+        finally:
+            tracer.uninstall(solver)
+        metrics = tracer.layer_metrics()
+        keys = (
+            "network.runs",
+            "network.rounds",
+            "network.node_rounds",
+            "network.unconverged_runs",
+            "linalg.fit_calls",
+            "search.hits",
+        )
+        assert tuple(metrics[key] for key in keys) == work
 
 
 class TestOracleSolve:
